@@ -338,25 +338,36 @@ main(int argc, char **argv)
     };
     // Solver warm-start A/B: the identical admit/remove churn under
     // the cold dense stack and the warm-start stack, pivot totals
-    // from lp::solverStats into bench.solver.* counters. Cache off
-    // so every request is a real re-solve; see bench/solver_bench
-    // for the standalone version.
+    // from each stack's own context registry into bench.solver.*
+    // counters. Cache off so every request is a real re-solve; see
+    // bench/solver_bench for the standalone version.
     records.push_back(runScenario("solver_warm_churn", [&] {
-        const auto churn = [&](const engine::EngineContext *ctx,
+        struct Totals
+        {
+            std::uint64_t pivots, hits, misses;
+        };
+        const auto churn = [&](const engine::EngineContext &ctx,
                                std::vector<double> *ms) {
             auto o = onlineSetup();
             const auto topo = makeTopology("torus:4,4,4");
             const TaskAllocation alloc =
                 alloc::roundRobin(o.g, *topo, 13);
             online::OnlineSchedulerConfig scfg;
-            scfg.compiler.ctx = ctx;
+            scfg.compiler.ctx = &ctx;
             scfg.compiler.inputPeriod = 2.4 * o.tm.tauC(o.g);
             scfg.cacheCapacity = 0;
             online::OnlineScheduler svc(
                 o.g, makeTopology("torus:4,4,4"), alloc, o.tm,
                 scfg);
             svc.start();
-            lp::resetSolverStats(); // exclude the cold start()
+            metrics::Registry &reg = ctx.metricsRegistry();
+            const auto totals = [&] {
+                return Totals{
+                    reg.counter("solver.pivots").value(),
+                    reg.counter("solver.warmstart.hits").value(),
+                    reg.counter("solver.warmstart.misses").value()};
+            };
+            const Totals base = totals(); // exclude the cold start()
             online::AdmitSpec spec;
             spec.name = "hot";
             spec.src = "probe";
@@ -368,6 +379,10 @@ main(int argc, char **argv)
                     ms->push_back(res.latencyMs);
                 svc.remove(spec.name);
             }
+            const Totals end = totals();
+            return Totals{end.pivots - base.pivots,
+                          end.hits - base.hits,
+                          end.misses - base.misses};
         };
         engine::ChildOptions dopts, sopts;
         dopts.name = "bench.dense";
@@ -380,18 +395,15 @@ main(int argc, char **argv)
         const auto sparseCtx =
             engine::EngineContext::processDefault().createChild(
                 sopts);
-        churn(denseCtx.get(), nullptr);
-        const lp::SolverStats cold = lp::solverStats();
+        const Totals cold = churn(*denseCtx, nullptr);
         std::vector<double> ms;
-        churn(sparseCtx.get(), &ms);
-        const lp::SolverStats warm = lp::solverStats();
+        const Totals warm = churn(*sparseCtx, &ms);
         auto &reg = metrics::Registry::global();
         reg.counter("bench.solver.cold_pivots").add(cold.pivots);
         reg.counter("bench.solver.warm_pivots").add(warm.pivots);
-        reg.counter("bench.solver.warmstart_hits")
-            .add(warm.warmHits);
+        reg.counter("bench.solver.warmstart_hits").add(warm.hits);
         reg.counter("bench.solver.warmstart_misses")
-            .add(warm.warmMisses);
+            .add(warm.misses);
         if (warm.pivots > 0)
             reg.counter("bench.solver.pivot_reduction_pct")
                 .add(100 * cold.pivots / warm.pivots);

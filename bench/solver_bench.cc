@@ -36,6 +36,7 @@
 
 #include "engine/context.hh"
 #include "mapping/allocation.hh"
+#include "metrics/metrics.hh"
 #include "online/service.hh"
 #include "solver/lp.hh"
 #include "tfg/dvb.hh"
@@ -57,11 +58,39 @@ wallMs(const std::function<void()> &body)
         .count();
 }
 
+/** The solver.* counters one run added to a registry. */
+struct SolverTotals
+{
+    std::uint64_t solves = 0, pivots = 0, warmHits = 0,
+                  warmMisses = 0, mipNodes = 0;
+
+    static SolverTotals
+    read(metrics::Registry &reg)
+    {
+        SolverTotals t;
+        t.solves = reg.counter("solver.solves").value();
+        t.pivots = reg.counter("solver.pivots").value();
+        t.warmHits = reg.counter("solver.warmstart.hits").value();
+        t.warmMisses =
+            reg.counter("solver.warmstart.misses").value();
+        t.mipNodes = reg.counter("solver.mip.nodes").value();
+        return t;
+    }
+
+    SolverTotals
+    operator-(const SolverTotals &o) const
+    {
+        return {solves - o.solves, pivots - o.pivots,
+                warmHits - o.warmHits, warmMisses - o.warmMisses,
+                mipNodes - o.mipNodes};
+    }
+};
+
 /** One run's solver-side tally. */
 struct Tally
 {
     double wall_ms = 0.0;
-    lp::SolverStats stats;
+    SolverTotals stats;
 };
 
 /**
@@ -85,7 +114,8 @@ runChurn(int rounds, const engine::EngineContext *ctx)
     scfg.cacheCapacity = 0;
 
     Tally t;
-    lp::resetSolverStats();
+    metrics::Registry &reg = engine::resolve(ctx).metricsRegistry();
+    SolverTotals base;
     t.wall_ms = wallMs([&] {
         online::OnlineScheduler svc(g, makeTopology("torus:4,4,4"),
                                     alloc, tm, scfg);
@@ -93,9 +123,9 @@ runChurn(int rounds, const engine::EngineContext *ctx)
             std::cerr << "initial compile rejected\n";
             std::exit(1);
         }
-        // Reset after start(): the initial full compile is cold
+        // Count from after start(): the initial full compile is cold
         // under both kinds and would dilute the churn comparison.
-        lp::resetSolverStats();
+        base = SolverTotals::read(reg);
         online::AdmitSpec spec;
         spec.name = "hot";
         spec.src = "probe";
@@ -109,7 +139,7 @@ runChurn(int rounds, const engine::EngineContext *ctx)
             svc.remove(spec.name);
         }
     });
-    t.stats = lp::solverStats();
+    t.stats = SolverTotals::read(reg) - base;
     return t;
 }
 
@@ -121,7 +151,7 @@ Tally
 runMip(int instances, lp::SolverKind kind)
 {
     Tally t;
-    lp::resetSolverStats();
+    metrics::Registry reg;
     t.wall_ms = wallMs([&] {
         for (int k = 0; k < instances; ++k) {
             // min sum x_i over {0,1,...}^n with pairwise covering
@@ -143,6 +173,7 @@ runMip(int instances, lp::SolverKind kind)
             }
             lp::MipOptions mo;
             mo.lp.kind = kind;
+            mo.lp.registry = &reg;
             const lp::Solution s = lp::solveMip(p, mo);
             if (s.status != lp::Status::Optimal) {
                 std::cerr << "mip instance " << k << " not optimal\n";
@@ -150,7 +181,7 @@ runMip(int instances, lp::SolverKind kind)
             }
         }
     });
-    t.stats = lp::solverStats();
+    t.stats = SolverTotals::read(reg);
     return t;
 }
 

@@ -10,8 +10,8 @@
 #include "core/verifier.hh"
 #include "cpsim/cp_simulator.hh"
 #include "fault/fault.hh"
-#include "online/script.hh"
 #include "online/service.hh"
+#include "server/protocol.hh"
 #include "topology/factory.hh"
 #include "util/logging.hh"
 
@@ -161,12 +161,11 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
                         c.g.task(m.dst).name, m.bytes});
 
     for (const std::string &op : c.churnOps) {
-        const online::ScriptParseResult pr =
-            online::parseRequestLine(op);
-        if (!pr.ok || pr.requests.size() != 1)
+        online::Request r;
+        std::string why;
+        if (!server::parseRequestLine(op, r, &why))
             return invalidCase("malformed churn op '" + op +
-                               "': " + pr.error);
-        const online::Request &r = pr.requests[0];
+                               "': " + why);
         if (r.kind != online::RequestKind::AdmitMessage &&
             r.kind != online::RequestKind::RemoveMessage)
             return invalidCase(

@@ -89,7 +89,8 @@ struct FuzzCase
     std::string faultSpec;
     /**
      * Online churn sequence: admit/remove request lines in the
-     * src/online script grammar (e.g. "admit zc0 t2 t5 512"),
+     * daemon protocol's per-session verb grammar
+     * (server::parseRequestLine, e.g. "admit zc0 t2 t5 512"),
      * replayed in order against an OnlineScheduler and
      * differentially checked against from-scratch recompiles.
      * Empty = batch case (the classic three-oracle run).

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/schedule_io.hh"
-#include "online/script.hh"
 #include "server/daemon.hh"
 #include "server/protocol.hh"
 #include "tfg/tfg_io.hh"
@@ -140,12 +139,11 @@ runMultiInner(const FuzzCase &c, const RunOptions &opts)
             return invalidCase("mchurn session index " +
                                std::to_string(k) +
                                " out of range");
-        const online::ScriptParseResult pr =
-            online::parseRequestLine(line);
-        if (!pr.ok || pr.requests.size() != 1)
+        online::Request r;
+        std::string why;
+        if (!server::parseRequestLine(line, r, &why))
             return invalidCase("malformed mchurn op '" + line +
-                               "': " + pr.error);
-        const online::Request &r = pr.requests[0];
+                               "': " + why);
         if (r.kind != online::RequestKind::AdmitMessage &&
             r.kind != online::RequestKind::RemoveMessage)
             return invalidCase(

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "online/script.hh"
-
 namespace srsim {
 namespace server {
 
@@ -36,6 +34,29 @@ validAllocKind(const std::string &kind)
         return true;
     }
     return false;
+}
+
+/**
+ * Strip a trailing comment and surrounding whitespace. A '#' starts
+ * a comment only at the beginning of the line or after whitespace;
+ * mid-token it is payload (`fault derate:#3=0.5`).
+ */
+std::string
+cleanLine(const std::string &raw)
+{
+    std::string s = raw;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] == '#' &&
+            (i == 0 || s[i - 1] == ' ' || s[i - 1] == '\t')) {
+            s.erase(i);
+            break;
+        }
+    }
+    const std::size_t b = s.find_first_not_of(" \t\r\n");
+    if (b == std::string::npos)
+        return {};
+    const std::size_t e = s.find_last_not_of(" \t\r\n");
+    return s.substr(b, e - b + 1);
 }
 
 /** Parse the key=value tail of an `open` line into `sc`. */
@@ -134,6 +155,52 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
 
 } // namespace
 
+bool
+parseRequestLine(const std::string &line, online::Request &out,
+                 std::string *err)
+{
+    std::istringstream ls(line);
+    std::string verb, extra;
+    ls >> verb;
+    online::Request r;
+    const auto fail = [&](std::string msg) {
+        *err = std::move(msg);
+        return false;
+    };
+    if (verb == "admit") {
+        r.kind = online::RequestKind::AdmitMessage;
+        online::AdmitSpec spec;
+        if (!(ls >> spec.name >> spec.src >> spec.dst >> spec.bytes))
+            return fail(
+                "expected: admit <name> <srcTask> <dstTask> <bytes>");
+        r.admits.push_back(std::move(spec));
+    } else if (verb == "remove") {
+        r.kind = online::RequestKind::RemoveMessage;
+        if (!(ls >> r.name))
+            return fail("expected: remove <name>");
+    } else if (verb == "period") {
+        r.kind = online::RequestKind::UpdatePeriod;
+        if (!(ls >> r.period))
+            return fail("expected: period <tau_in_us>");
+    } else if (verb == "fault") {
+        // The spec is the rest of the line.
+        r.kind = online::RequestKind::InjectFault;
+        std::getline(ls, r.faultSpec);
+        const std::size_t b = r.faultSpec.find_first_not_of(" \t");
+        r.faultSpec =
+            b == std::string::npos ? "" : r.faultSpec.substr(b);
+        if (r.faultSpec.empty())
+            return fail("expected: fault <fault-spec>");
+    } else {
+        return fail("unknown request verb '" + verb + "'");
+    }
+    if (ls >> extra)
+        return fail("trailing tokens after " + verb + ": '" + extra +
+                    "'");
+    out = std::move(r);
+    return true;
+}
+
 DaemonScriptParseResult
 parseDaemonScript(std::istream &is)
 {
@@ -146,13 +213,22 @@ parseDaemonScript(std::istream &is)
         out.errorLine = ln;
         return out;
     };
+    // Next non-blank line with its comment stripped; false at EOF.
+    const auto next = [&] {
+        std::string raw;
+        while (std::getline(is, raw)) {
+            ++lineNo;
+            line = cleanLine(raw);
+            if (!line.empty())
+                return true;
+        }
+        return false;
+    };
 
-    while (std::getline(is, line)) {
-        ++lineNo;
+    while (next()) {
         std::istringstream ls(line);
         std::string head;
-        if (!(ls >> head) || head[0] == '#')
-            continue;
+        ls >> head;
 
         if (head == "open") {
             DaemonOp op;
@@ -186,15 +262,17 @@ parseDaemonScript(std::istream &is)
             continue;
         }
 
-        // "<session> <verb> ..." — the verb grammar is exactly the
-        // single-service script's, so reuse its parser.
-        const std::string session = head;
+        // "<session> <verb> ..."
+        DaemonOp op;
+        op.kind = DaemonOp::Kind::Request;
+        op.session = head;
+        op.line = lineNo;
         std::string rest;
         std::getline(ls, rest);
         std::istringstream vs(rest);
         std::string verb;
         if (!(vs >> verb))
-            return fail(lineNo, "session '" + session +
+            return fail(lineNo, "session '" + head +
                                     "' line has no request");
 
         if (verb == "batch") {
@@ -206,55 +284,35 @@ parseDaemonScript(std::istream &is)
             if (vs >> extra)
                 return fail(lineNo, "unexpected token '" + extra +
                                         "' after batch count");
-            DaemonOp op;
-            op.kind = DaemonOp::Kind::Request;
-            op.session = session;
-            op.line = lineNo;
             op.request.kind = online::RequestKind::AdmitMessage;
             while (static_cast<int>(op.request.admits.size()) < n) {
-                if (!std::getline(is, line))
+                if (!next())
                     return fail(lineNo,
                                 "batch truncated by end of script");
-                ++lineNo;
                 std::istringstream bs(line);
-                std::string bsession;
-                if (!(bs >> bsession) || bsession[0] == '#')
-                    continue;
-                if (bsession != session)
+                std::string bsession, brest, err;
+                bs >> bsession;
+                if (bsession != head)
                     return fail(lineNo,
                                 "batch line must target session '" +
-                                    session + "', got '" + bsession +
+                                    head + "', got '" + bsession +
                                     "'");
-                std::string brest;
                 std::getline(bs, brest);
-                const online::ScriptParseResult one =
-                    online::parseRequestLine(brest);
-                if (!one.ok)
-                    return fail(lineNo, one.error);
-                if (one.requests.size() != 1 ||
-                    one.requests[0].kind !=
-                        online::RequestKind::AdmitMessage)
+                online::Request one;
+                if (!parseRequestLine(brest, one, &err))
+                    return fail(lineNo, err);
+                if (one.kind != online::RequestKind::AdmitMessage)
                     return fail(lineNo,
                                 "batch accepts only admit lines");
-                for (const online::AdmitSpec &a :
-                     one.requests[0].admits)
-                    op.request.admits.push_back(a);
+                op.request.admits.push_back(one.admits[0]);
             }
             out.ops.push_back(std::move(op));
             continue;
         }
 
-        const online::ScriptParseResult one =
-            online::parseRequestLine(rest);
-        if (!one.ok)
-            return fail(lineNo, one.error);
-        if (one.requests.size() != 1)
-            return fail(lineNo, "expected exactly one request");
-        DaemonOp op;
-        op.kind = DaemonOp::Kind::Request;
-        op.session = session;
-        op.line = lineNo;
-        op.request = one.requests[0];
+        std::string err;
+        if (!parseRequestLine(rest, op.request, &err))
+            return fail(lineNo, err);
         out.ops.push_back(std::move(op));
     }
 

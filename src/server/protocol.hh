@@ -1,16 +1,16 @@
 /**
  * @file
- * Text protocol of the scheduling daemon.
+ * Text protocol of the scheduling daemon — the repository's one
+ * request grammar.
  *
- * Where `srsimc serve` drives one OnlineScheduler from a request
- * script, the daemon multiplexes many named *sessions*, so its
- * script prefixes every data-plane line with the session name and
- * adds control-plane verbs to open and close sessions:
+ * The daemon multiplexes many named *sessions*, so its script
+ * prefixes every data-plane line with the session name and adds
+ * control-plane verbs to open and close sessions:
  *
  *     # comment / blank lines ignored
  *     open <session> topo=SPEC period=US tfg=dvb|FILE
  *          [bw=B] [ap=S] [alloc=greedy|random|rr:<stride>]
- *          [seed=N] [cache=0|1]
+ *          [seed=N] [cache=0|1] [solver=dense|sparse] [threads=N]
  *     close <session>
  *     <session> admit  <name> <srcTask> <dstTask> <bytes>
  *     <session> remove <name>
@@ -18,6 +18,12 @@
  *     <session> fault  <fault-spec>      # rest of line
  *     <session> batch  <N>               # coalesce the next N
  *     <session> admit  ...               #   "<session> admit" lines
+ *
+ * A '#' starts a comment at the beginning of a line or after
+ * whitespace, on every kind of line; mid-token it is payload (the
+ * fault grammar addresses links as '#<index>', e.g.
+ * `derate:#3=0.5`). A one-session script (`open s ...` followed by
+ * `s admit ...` lines) drives a single OnlineScheduler.
  *
  * `tfg=dvb` builds the paper's DARPA Vision Benchmark workload
  * in-process (no file dependency — recovery can always replay it);
@@ -100,6 +106,14 @@ struct DaemonScriptParseResult
 
 /** Parse a whole daemon script; `batch N` becomes one Request. */
 DaemonScriptParseResult parseDaemonScript(std::istream &is);
+
+/**
+ * Parse one request in the per-session verb grammar (`admit`,
+ * `remove`, `period`, `fault`; no session prefix, no comment).
+ * @return false with *err set when the line is malformed.
+ */
+bool parseRequestLine(const std::string &line, online::Request &out,
+                      std::string *err);
 
 } // namespace server
 } // namespace srsim

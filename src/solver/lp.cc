@@ -1,6 +1,7 @@
 #include "solver/lp.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -515,17 +516,6 @@ solveDense(const Problem &p, const SolveOptions &opts)
     return sol;
 }
 
-namespace detail {
-
-SolverCounterBlock &
-solverCounters()
-{
-    static SolverCounterBlock block;
-    return block;
-}
-
-} // namespace detail
-
 namespace {
 
 std::atomic<bool> g_diff_enabled{false};
@@ -629,34 +619,6 @@ diffSolve(const Problem &p, const SolveOptions &opts)
 
 } // namespace
 
-SolverStats
-solverStats()
-{
-    const detail::SolverCounterBlock &b = detail::solverCounters();
-    SolverStats s;
-    s.solves = b.solves.load();
-    s.pivots = b.pivots.load();
-    s.warmAttempts = b.warmAttempts.load();
-    s.warmHits = b.warmHits.load();
-    s.warmMisses = b.warmMisses.load();
-    s.mipNodes = b.mipNodes.load();
-    s.mipProblemCopies = b.mipProblemCopies.load();
-    return s;
-}
-
-void
-resetSolverStats()
-{
-    detail::SolverCounterBlock &b = detail::solverCounters();
-    b.solves.store(0);
-    b.pivots.store(0);
-    b.warmAttempts.store(0);
-    b.warmHits.store(0);
-    b.warmMisses.store(0);
-    b.mipNodes.store(0);
-    b.mipProblemCopies.store(0);
-}
-
 void
 setSolverDiff(bool enabled)
 {
@@ -696,10 +658,7 @@ solve(const Problem &p, const SolveOptions &opts)
     } else {
         sol = solveDense(p, opts);
     }
-    detail::SolverCounterBlock &b = detail::solverCounters();
-    b.solves.fetch_add(1);
-    b.pivots.fetch_add(sol.pivots);
-    if (SRSIM_METRICS_ENABLED() && opts.registry != nullptr) {
+    if (opts.registry != nullptr) {
         opts.registry->counter("solver.solves").add(1);
         opts.registry->counter("solver.pivots").add(sol.pivots);
     }
@@ -745,7 +704,9 @@ solveMip(const Problem &p, const MipOptions &opts)
     // bounds, instead of copying the whole Problem per node.
     Problem work = p;
     const std::size_t base_rows = work.numConstraints();
-    detail::solverCounters().mipProblemCopies.fetch_add(1);
+    metrics::Registry *reg = opts.lp.registry;
+    if (reg != nullptr)
+        reg->counter("solver.mip.problem_copies").add(1);
 
     // Depth-first stack of nodes.
     std::vector<Node> stack;
@@ -757,7 +718,8 @@ solveMip(const Problem &p, const MipOptions &opts)
             capped = true;
             break;
         }
-        detail::solverCounters().mipNodes.fetch_add(1);
+        if (reg != nullptr)
+            reg->counter("solver.mip.nodes").add(1);
         const Node node = std::move(stack.back());
         stack.pop_back();
 

@@ -17,7 +17,6 @@
 #ifndef SRSIM_SOLVER_LP_HH_
 #define SRSIM_SOLVER_LP_HH_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -247,33 +246,21 @@ struct SolveOptions
      */
     const Basis *warmStart = nullptr;
     /**
-     * When set (and metrics are enabled), the dispatcher bumps
-     * "solver.solves"/"solver.pivots" and the warm-start machinery
-     * bumps "solver.warmstart.{attempts,hits,misses}" against this
-     * registry — a per-session child registry under the daemon, the
-     * process registry under the default context. nullptr records
-     * nothing (the process-wide SolverStats block still counts).
+     * When set, the dispatcher bumps "solver.solves"/"solver.pivots",
+     * the warm-start machinery bumps
+     * "solver.warmstart.{attempts,hits,misses}", and branch and bound
+     * bumps "solver.mip.{nodes,problem_copies}" against this registry
+     * — a per-session child registry under the daemon, the process
+     * registry under the default context. These counters count on
+     * every run, metrics enabled or not: they are the only solver
+     * totals. nullptr records nothing.
+     *
+     * "solver.warmstart.misses" counts failed warm attempts *and*
+     * BasisCache lookups that found no stored basis (a re-solve
+     * site seen for the first time), so it can exceed "attempts".
      */
     metrics::Registry *registry = nullptr;
 };
-
-/** Process-wide solver counters (monotonic, thread-safe). */
-struct SolverStats
-{
-    std::uint64_t solves = 0;
-    std::uint64_t pivots = 0;
-    std::uint64_t warmAttempts = 0;
-    std::uint64_t warmHits = 0;
-    std::uint64_t warmMisses = 0;
-    std::uint64_t mipNodes = 0;
-    std::uint64_t mipProblemCopies = 0;
-};
-
-/** Snapshot of the process-wide solver counters. */
-SolverStats solverStats();
-
-/** Reset the process-wide solver counters (tests / benches). */
-void resetSolverStats();
 
 /**
  * Differential oracle mode: when enabled, every lp::solve runs the
@@ -296,24 +283,6 @@ struct SolverDiffStats
 
 SolverDiffStats solverDiffStats();
 void resetSolverDiffStats();
-
-namespace detail {
-
-/** Internal: the mutable counters behind solverStats(). */
-struct SolverCounterBlock
-{
-    std::atomic<std::uint64_t> solves{0};
-    std::atomic<std::uint64_t> pivots{0};
-    std::atomic<std::uint64_t> warmAttempts{0};
-    std::atomic<std::uint64_t> warmHits{0};
-    std::atomic<std::uint64_t> warmMisses{0};
-    std::atomic<std::uint64_t> mipNodes{0};
-    std::atomic<std::uint64_t> mipProblemCopies{0};
-};
-
-SolverCounterBlock &solverCounters();
-
-} // namespace detail
 
 /**
  * Solve the LP relaxation with the stack selected by

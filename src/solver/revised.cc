@@ -872,23 +872,19 @@ bool
 warmAttempt(const StdForm &sf, const SolveOptions &opts,
             Solution &sol)
 {
-    auto &ctr = detail::solverCounters();
-    ctr.warmAttempts.fetch_add(1);
     Rev rev(sf, opts);
     bool done = false;
     if (rev.resolveWarm(*opts.warmStart) && rev.factorize())
         done = rev.warm(sol);
     sol.pivots = rev.pivots();
-    if (done) {
-        ctr.warmHits.fetch_add(1);
-        if (SRSIM_METRICS_ENABLED() && opts.registry != nullptr)
-            opts.registry->counter("solver.warmstart.hits").add(1);
-        return true;
+    if (opts.registry != nullptr) {
+        opts.registry->counter("solver.warmstart.attempts").add(1);
+        opts.registry
+            ->counter(done ? "solver.warmstart.hits"
+                           : "solver.warmstart.misses")
+            .add(1);
     }
-    ctr.warmMisses.fetch_add(1);
-    if (SRSIM_METRICS_ENABLED() && opts.registry != nullptr)
-        opts.registry->counter("solver.warmstart.misses").add(1);
-    return false;
+    return done;
 }
 
 } // namespace
@@ -953,8 +949,7 @@ BasisCache::lookup(const std::string &key, std::uint64_t structSig,
             return true;
         }
     }
-    detail::solverCounters().warmMisses.fetch_add(1);
-    if (SRSIM_METRICS_ENABLED() && registry_ != nullptr)
+    if (registry_ != nullptr)
         registry_->counter("solver.warmstart.misses").add(1);
     return false;
 }

@@ -42,8 +42,9 @@
  *  3. anything else — dimension mismatch, singular basis, an
  *     artificial stuck basic at a nonzero value, numerical failure
  *     mid-flight — falls back to the cold two-phase solve.
- * Every fallback is counted in SolverStats::warmMisses; a re-solve
- * completed from the candidate basis counts as a hit.
+ * Every attempt bumps "solver.warmstart.attempts" in the caller's
+ * registry; a fallback also bumps "solver.warmstart.misses", and a
+ * re-solve completed from the candidate basis counts as a hit.
  */
 
 #ifndef SRSIM_SOLVER_REVISED_HH_
@@ -100,8 +101,7 @@ class BasisCache
     /**
      * @param registry when given, lookup misses bump the
      * "solver.warmstart.misses" counter there (the owning session's
-     * child registry under the daemon). The per-process SolverStats
-     * block counts regardless.
+     * child registry under the daemon), metrics enabled or not.
      */
     explicit BasisCache(metrics::Registry *registry = nullptr)
         : registry_(registry)
@@ -112,7 +112,7 @@ class BasisCache
      * @return true and fill `out` when `key` holds a basis whose
      *         structure signature matches `structSig`. A miss (no
      *         entry or signature mismatch) counts toward
-     *         SolverStats::warmMisses.
+     *         "solver.warmstart.misses".
      */
     bool lookup(const std::string &key, std::uint64_t structSig,
                 Basis &out) const;

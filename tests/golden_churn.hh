@@ -5,7 +5,8 @@
  * configuration (DVB TFG, bandwidth 128, round-robin stride 13,
  * period 2.4 * tau_c — the same recipe as the fig10 golden case).
  *
- * Each scenario feeds a request script to a freshly started
+ * Each scenario feeds the requests of a one-session daemon script
+ * (session `s`, server/protocol.hh) to a freshly started
  * OnlineScheduler and pins the bytes of the final published
  * schedule in tests/golden/<name>.sched. Shared by
  * tests/test_online.cc (byte-diff + behavioral assertions) and
@@ -22,8 +23,8 @@
 
 #include "core/schedule_io.hh"
 #include "mapping/allocation.hh"
-#include "online/script.hh"
 #include "online/service.hh"
+#include "server/protocol.hh"
 #include "tfg/dvb.hh"
 #include "tfg/timing.hh"
 #include "topology/factory.hh"
@@ -36,7 +37,7 @@ namespace golden {
 struct ChurnCase
 {
     const char *name;    ///< file stem under tests/golden/
-    const char *script;  ///< request script (online/script.hh)
+    const char *script;  ///< session-`s` lines (server/protocol.hh)
 };
 
 /** The churn table (order is the regeneration order). */
@@ -50,21 +51,21 @@ churnCases()
     // bounds and only its own subsets re-solve.
     static const std::vector<ChurnCase> cases = {
         {"churn-admit",
-         "admit x0 probe verify 256\n"},
+         "s admit x0 probe verify 256\n"},
         {"churn-remove",
-         "admit x0 probe verify 256\n"
-         "remove x0\n"},
+         "s admit x0 probe verify 256\n"
+         "s remove x0\n"},
         {"churn-readmit",
-         "admit x0 probe verify 256\n"
-         "remove x0\n"
-         "admit x0 probe verify 256\n"},
+         "s admit x0 probe verify 256\n"
+         "s remove x0\n"
+         "s admit x0 probe verify 256\n"},
         {"churn-batch5",
-         "batch 5\n"
-         "admit y0 match probe 256\n"
-         "admit y1 hough extend 256\n"
-         "admit y2 probe verify 256\n"
-         "admit y3 extend filter 256\n"
-         "admit y4 verify score 256\n"},
+         "s batch 5\n"
+         "s admit y0 match probe 256\n"
+         "s admit y1 hough extend 256\n"
+         "s admit y2 probe verify 256\n"
+         "s admit y3 extend filter 256\n"
+         "s admit y4 verify score 256\n"},
     };
     return cases;
 }
@@ -113,17 +114,20 @@ runChurnCase(const ChurnCase &cc)
               "': initial compile rejected: ", run.start.detail);
 
     std::istringstream is(cc.script);
-    const online::ScriptParseResult script =
-        online::parseRequestScript(is);
+    const server::DaemonScriptParseResult script =
+        server::parseDaemonScript(is);
     if (!script.ok)
         fatal("churn case '", cc.name, "': bad script line ",
               script.errorLine, ": ", script.error);
-    for (const online::Request &r : script.requests) {
-        run.results.push_back(svc->process(r));
+    for (const server::DaemonOp &op : script.ops) {
+        if (op.kind != server::DaemonOp::Kind::Request)
+            fatal("churn case '", cc.name, "': line ", op.line,
+                  " is not a request");
+        run.results.push_back(svc->process(op.request));
         if (!run.results.back().accepted)
             fatal("churn case '", cc.name, "': request ",
-                  online::requestKindName(r.kind), " rejected: ",
-                  run.results.back().detail);
+                  online::requestKindName(op.request.kind),
+                  " rejected: ", run.results.back().detail);
     }
 
     run.final = svc->published();

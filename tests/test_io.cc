@@ -145,8 +145,9 @@ TEST(ScheduleIoTest, GoldenRoundTripVerifiesAndMatches)
  * Malformed-input corpus: tryReadSchedule must be total on arbitrary
  * bytes — every corrupt file under tests/corpus/io/ comes back as a
  * structured error naming the defect, never an assert, abort, or
- * uncaught exception. A long-lived service preloading schedules from
- * disk (`srsimc serve --preload`) depends on exactly this contract.
+ * uncaught exception. The daemon restoring sessions from snapshot
+ * files on recovery (src/server/daemon.cc) depends on exactly this
+ * contract: a corrupt snapshot is rejected, never a crash.
  */
 TEST(ScheduleIoTest, MalformedCorpusReturnsStructuredErrors)
 {

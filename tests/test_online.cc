@@ -318,59 +318,6 @@ TEST(OnlineRejection, InfeasibleAdmissionIsClassified)
     EXPECT_TRUE(svc->published()->verification.ok);
 }
 
-/** The script parser: structured errors, line numbers, batching. */
-TEST(OnlineScript, ParsesAndRejectsStructurally)
-{
-    {
-        std::istringstream is("# comment\n"
-                              "admit a t1 t2 64\n"
-                              "\n"
-                              "batch 2\n"
-                              "admit b t1 t2 64\n"
-                              "admit c t2 t3 64\n"
-                              "remove a\n"
-                              "period 123.5\n"
-                              "fault link:0-1;derate:#3=0.5\n");
-        const online::ScriptParseResult r =
-            online::parseRequestScript(is);
-        ASSERT_TRUE(r.ok) << r.error;
-        ASSERT_EQ(r.requests.size(), 5u);
-        EXPECT_EQ(r.requests[0].kind, RequestKind::AdmitMessage);
-        EXPECT_EQ(r.requests[1].admits.size(), 2u);
-        EXPECT_EQ(r.requests[2].name, "a");
-        EXPECT_EQ(r.requests[3].period, 123.5);
-        EXPECT_EQ(r.requests[4].faultSpec,
-                  "link:0-1;derate:#3=0.5");
-    }
-    {
-        std::istringstream is("admit a t1 t2\n");
-        const online::ScriptParseResult r =
-            online::parseRequestScript(is);
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.errorLine, 1);
-    }
-    {
-        std::istringstream is("admit a t1 t2 64\nfrobnicate\n");
-        const online::ScriptParseResult r =
-            online::parseRequestScript(is);
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.errorLine, 2);
-    }
-    {
-        std::istringstream is("batch 3\nadmit a t1 t2 64\n");
-        const online::ScriptParseResult r =
-            online::parseRequestScript(is);
-        EXPECT_FALSE(r.ok); // truncated batch group
-    }
-    {
-        std::istringstream is("batch 2\nremove a\n");
-        const online::ScriptParseResult r =
-            online::parseRequestScript(is);
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.errorLine, 2);
-    }
-}
-
 /** The canonical key identifies workloads, not construction order. */
 TEST(OnlineCache, CanonicalKeyAndLru)
 {

@@ -16,8 +16,9 @@
  *
  * Plus the bookkeeping the bench and service summaries rely on:
  * cumulative Solution::pivots across phases and branch-and-bound
- * nodes, SolverStats warm-start accounting, and the single-working-
- * instance guarantee of solveMip (mipProblemCopies == 1).
+ * nodes, the solver.* registry counters' warm-start accounting, and
+ * the single-working-instance guarantee of solveMip
+ * (solver.mip.problem_copies == 1).
  */
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/metrics.hh"
 #include "solver/lp.hh"
 #include "solver/revised.hh"
 #include "util/rng.hh"
@@ -40,6 +42,13 @@ using lp::Relation;
 using lp::Solution;
 using lp::SolveOptions;
 using lp::Status;
+
+/** Value of counter `name` in `reg` (0 when never bumped). */
+std::uint64_t
+count(metrics::Registry &reg, const std::string &name)
+{
+    return reg.counter(name).value();
+}
 
 /** A small non-degenerate LP with a unique bounded optimum. */
 Problem
@@ -361,26 +370,27 @@ TEST(RevisedMip, CumulativePivotsSingleWorkingCopy)
     p.markInteger(x);
     p.markInteger(y);
 
-    lp::resetSolverStats();
     const Solution root = lp::solveDense(p);
     ASSERT_EQ(root.status, Status::Optimal);
     const std::size_t rootPivots = root.pivots;
 
-    lp::resetSolverStats();
-    const Solution mip = lp::solveMip(p);
+    metrics::Registry reg;
+    lp::MipOptions mo;
+    mo.lp.registry = &reg;
+    const Solution mip = lp::solveMip(p, mo);
     ASSERT_EQ(mip.status, Status::Optimal);
     EXPECT_NEAR(mip.values[x] - std::round(mip.values[x]), 0.0,
                 1e-6);
     EXPECT_NEAR(mip.values[y] - std::round(mip.values[y]), 0.0,
                 1e-6);
 
-    const lp::SolverStats st = lp::solverStats();
-    EXPECT_GT(st.mipNodes, 1u) << "expected actual branching";
-    EXPECT_EQ(st.mipProblemCopies, 1u)
+    EXPECT_GT(count(reg, "solver.mip.nodes"), 1u)
+        << "expected actual branching";
+    EXPECT_EQ(count(reg, "solver.mip.problem_copies"), 1u)
         << "B&B must reuse one working instance";
     // Pivots accumulate across every explored node.
     EXPECT_GE(mip.pivots, rootPivots);
-    EXPECT_EQ(st.pivots, mip.pivots);
+    EXPECT_EQ(count(reg, "solver.pivots"), mip.pivots);
 }
 
 TEST(RevisedSignature, CoversStructureNotData)
@@ -457,8 +467,9 @@ TEST(RevisedStats, WarmAccounting)
     const Solution cold = lp::solveDense(p);
     ASSERT_EQ(cold.status, Status::Optimal);
 
-    lp::resetSolverStats();
+    metrics::Registry reg;
     SolveOptions opts;
+    opts.registry = &reg;
     opts.warmStart = &cold.basis;
     const Solution hit = lp::solve(p, opts);
     ASSERT_EQ(hit.status, Status::Optimal);
@@ -468,16 +479,16 @@ TEST(RevisedStats, WarmAccounting)
     junk.rows.assign(p.numConstraints(),
                      {Basis::Kind::Structural, 0});
     SolveOptions bad;
+    bad.registry = &reg;
     bad.warmStart = &junk;
     const Solution miss = lp::solve(p, bad);
     ASSERT_EQ(miss.status, Status::Optimal);
 
-    const lp::SolverStats st = lp::solverStats();
-    EXPECT_EQ(st.solves, 2u);
-    EXPECT_EQ(st.warmAttempts, 2u);
-    EXPECT_EQ(st.warmHits, 1u);
-    EXPECT_EQ(st.warmMisses, 1u);
-    EXPECT_GT(st.pivots, 0u);
+    EXPECT_EQ(count(reg, "solver.solves"), 2u);
+    EXPECT_EQ(count(reg, "solver.warmstart.attempts"), 2u);
+    EXPECT_EQ(count(reg, "solver.warmstart.hits"), 1u);
+    EXPECT_EQ(count(reg, "solver.warmstart.misses"), 1u);
+    EXPECT_GT(count(reg, "solver.pivots"), 0u);
 }
 
 TEST(RevisedDiff, OracleSeesNoDisagreements)
@@ -508,16 +519,16 @@ TEST(RevisedKind, DenseKindIgnoresWarmStart)
     const Solution cold = lp::solveDense(p);
     ASSERT_EQ(cold.status, Status::Optimal);
 
-    lp::resetSolverStats();
+    metrics::Registry reg;
     SolveOptions opts;
+    opts.registry = &reg;
     opts.kind = lp::SolverKind::Dense;
     opts.warmStart = &cold.basis;
     const Solution s = lp::solve(p, opts);
-    const lp::SolverStats st = lp::solverStats();
 
     ASSERT_EQ(s.status, Status::Optimal);
     EXPECT_EQ(s.objective, cold.objective);
-    EXPECT_EQ(st.warmAttempts, 0u);
+    EXPECT_EQ(count(reg, "solver.warmstart.attempts"), 0u);
     EXPECT_EQ(s.pivots, cold.pivots);
 }
 

@@ -20,7 +20,6 @@
 #include "core/schedule_io.hh"
 #include "engine/context.hh"
 #include "metrics/metrics.hh"
-#include "online/script.hh"
 #include "online/service.hh"
 #include "server/daemon.hh"
 #include "server/protocol.hh"
@@ -119,9 +118,25 @@ publishedBytes(const SchedulingDaemon &d, const std::string &name)
     return os.str();
 }
 
-/** The same figure recipe driven directly, no daemon. */
+/**
+ * Value of counter `name` in `r` (0 when never bumped). Reads a
+ * snapshot, not counter(), which would create the metric.
+ */
+std::uint64_t
+count(const metrics::Registry &r, const std::string &name)
+{
+    for (const auto &[n, v] : r.counterSnapshot())
+        if (n == name)
+            return v;
+    return 0;
+}
+
+/**
+ * The same figure recipe driven directly, no daemon: the requests
+ * of a one-session script fed straight to an OnlineScheduler.
+ */
 std::string
-directBytes(const std::string &requestScript)
+directBytes(const std::string &sessionScript)
 {
     const DvbParams dvb;
     TaskFlowGraph g = buildDvbTfg(dvb);
@@ -136,12 +151,8 @@ directBytes(const std::string &requestScript)
     online::OnlineScheduler svc(std::move(g), std::move(topo),
                                 alloc, tm, cfg);
     EXPECT_TRUE(svc.start().accepted);
-    std::istringstream is(requestScript);
-    const online::ScriptParseResult script =
-        online::parseRequestScript(is);
-    EXPECT_TRUE(script.ok);
-    for (const online::Request &r : script.requests)
-        EXPECT_TRUE(svc.process(r).accepted);
+    for (const DaemonOp &op : parseOps(sessionScript))
+        EXPECT_TRUE(svc.process(op.request).accepted);
     std::ostringstream os;
     writeSchedule(os, svc.published()->omega);
     return os.str();
@@ -158,8 +169,13 @@ TEST(ServerProtocol, ParsesOpenRequestsAndClose)
         "a admit x0 probe verify 256\n"
         "a period 125\n"
         "a fault link:0-1\n"
-        "close a\n");
-    ASSERT_EQ(ops.size(), 5u);
+        "close a\n"
+        // Trailing comments are legal on every kind of line.
+        "open cam topo=torus:4,4,4 period=120 tfg=dvb bw=128 "
+        "alloc=rr:13   # camera\n"
+        "cam admit tap probe verify 48   # tap\n"
+        "close cam # done\n");
+    ASSERT_EQ(ops.size(), 8u);
     EXPECT_EQ(ops[0].kind, DaemonOp::Kind::Open);
     EXPECT_EQ(ops[0].open.name, "a");
     EXPECT_EQ(ops[0].open.bandwidth, 128.0);
@@ -169,6 +185,61 @@ TEST(ServerProtocol, ParsesOpenRequestsAndClose)
     EXPECT_EQ(ops[1].request.kind,
               online::RequestKind::AdmitMessage);
     EXPECT_EQ(ops[4].kind, DaemonOp::Kind::Close);
+    EXPECT_EQ(ops[5].kind, DaemonOp::Kind::Open);
+    EXPECT_EQ(ops[5].open.alloc, "rr:13");
+    EXPECT_EQ(ops[6].request.admits[0].name, "tap");
+    EXPECT_EQ(ops[6].request.admits[0].bytes, 48.0);
+    EXPECT_EQ(ops[7].kind, DaemonOp::Kind::Close);
+    EXPECT_EQ(ops[7].session, "cam");
+}
+
+/** Comments, batching, mid-token '#', and errors with line numbers. */
+TEST(ServerProtocol, ParsesAndRejectsStructurally)
+{
+    {
+        const auto ops = parseOps("# comment\n"
+                                  "a admit a t1 t2 64\n"
+                                  "\n"
+                                  "a batch 2\n"
+                                  "a admit b t1 t2 64\n"
+                                  "   # comment inside a batch\n"
+                                  "a admit c t2 t3 64\n"
+                                  "a remove a\n"
+                                  "a period 123.5\n"
+                                  "a fault link:0-1;derate:#3=0.5\n"
+                                  "a fault derate:#4=0.5 # strike\n");
+        ASSERT_EQ(ops.size(), 6u);
+        EXPECT_EQ(ops[0].request.kind,
+                  online::RequestKind::AdmitMessage);
+        EXPECT_EQ(ops[0].line, 2);
+        EXPECT_EQ(ops[1].request.admits.size(), 2u);
+        EXPECT_EQ(ops[1].request.admits[1].name, "c");
+        EXPECT_EQ(ops[1].line, 4);
+        EXPECT_EQ(ops[2].request.name, "a");
+        EXPECT_EQ(ops[3].request.period, 123.5);
+        EXPECT_EQ(ops[4].request.faultSpec,
+                  "link:0-1;derate:#3=0.5");
+        EXPECT_EQ(ops[5].request.faultSpec, "derate:#4=0.5");
+    }
+    const struct
+    {
+        const char *script;
+        int errorLine;
+    } bad[] = {
+        {"a admit a t1 t2\n", 1},                 // short admit
+        {"a admit a t1 t2 64\na frobnicate\n", 2}, // unknown verb
+        {"a batch 3\na admit a t1 t2 64\n", 2},    // truncated batch
+        {"a batch 2\na remove a\n", 2},            // non-admit in batch
+        {"a remove a b\n", 1},                    // trailing token
+        {"a fault\n", 1},                         // empty fault spec
+    };
+    for (const auto &c : bad) {
+        std::istringstream is(c.script);
+        const server::DaemonScriptParseResult r =
+            server::parseDaemonScript(is);
+        EXPECT_FALSE(r.ok) << c.script;
+        EXPECT_EQ(r.errorLine, c.errorLine) << c.script;
+    }
 }
 
 TEST(ServerProtocol, BatchCoalescesIntoOneRequest)
@@ -476,13 +547,10 @@ TEST(ServerDaemon, MatchesTheDirectServiceByteForByte)
     const DaemonResponse opened = d.open(figSession("a"));
     ASSERT_EQ(opened.outcome, DaemonOutcome::Ok);
     ASSERT_TRUE(opened.result.accepted) << opened.result.detail;
-    const std::string script = "admit x0 probe verify 256\n"
-                               "remove x0\n"
-                               "admit x0 probe verify 256\n";
-    for (const DaemonOp &op :
-         parseOps("a admit x0 probe verify 256\n"
-                  "a remove x0\n"
-                  "a admit x0 probe verify 256\n")) {
+    const std::string script = "a admit x0 probe verify 256\n"
+                               "a remove x0\n"
+                               "a admit x0 probe verify 256\n";
+    for (const DaemonOp &op : parseOps(script)) {
         const DaemonResponse r =
             d.submit("a", op.request).get();
         ASSERT_EQ(r.outcome, DaemonOutcome::Ok);
@@ -623,15 +691,6 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
     EXPECT_EQ(mets[1].first, "cold");
     const metrics::Registry &warmReg = *mets[0].second;
     const metrics::Registry &coldReg = *mets[1].second;
-    const auto count = [](const metrics::Registry &r,
-                          const std::string &name) {
-        // counterSnapshot, not counter(): the latter would create
-        // the metric in a const-cast world; snapshots can't.
-        for (const auto &[n, v] : r.counterSnapshot())
-            if (n == name)
-                return v;
-        return std::uint64_t{0};
-    };
 
     // online.* landed in the right child, exactly once per request
     // (+1 each: open()'s initial compile is a counted request too).
@@ -655,6 +714,57 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
                   count(coldReg, "solver.warmstart.hits"));
 
     metrics::Registry::setEnabled(false);
+}
+
+/**
+ * The solver.* counters are the only solver totals, so they count
+ * with metrics disabled: the daemon summary prints them on every
+ * run. The root holds the exact sum of its sessions (the daemon
+ * issues no LP solves of its own).
+ */
+TEST(ServerDaemon, SolverTotalsCountWithMetricsOff)
+{
+    metrics::Registry::setEnabled(false);
+    engine::ChildOptions rootOpts;
+    rootOpts.name = "solver-root";
+    const auto root =
+        engine::EngineContext::processDefault().createChild(
+            rootOpts);
+    DaemonConfig cfg;
+    cfg.ctx = root.get();
+    cfg.cacheCapacity = 0; // every request is a real re-solve
+    SchedulingDaemon d(cfg);
+    for (const char *name : {"a", "b"}) {
+        SessionConfig sc = figSession(name);
+        sc.cache = false;
+        ASSERT_TRUE(d.open(sc).result.accepted);
+    }
+    // Admit/remove churn re-solves the same subsets, so the second
+    // admission warm-starts from the first one's stored bases.
+    for (const DaemonOp &op : parseOps("a admit x0 probe verify 256\n"
+                                       "a remove x0\n"
+                                       "a admit x0 probe verify 256\n"
+                                       "b admit x0 probe verify 256\n"
+                                       "b remove x0\n"
+                                       "b admit x0 probe verify 256\n"
+                                       "b remove x0\n"))
+        ASSERT_TRUE(
+            d.submit(op.session, op.request).get().result.accepted);
+    d.drain();
+
+    const auto mets = d.sessionMetrics();
+    ASSERT_EQ(mets.size(), 2u);
+    for (const char *name :
+         {"solver.solves", "solver.pivots",
+          "solver.warmstart.attempts", "solver.warmstart.hits",
+          "solver.warmstart.misses"}) {
+        const std::uint64_t a = count(*mets[0].second, name);
+        const std::uint64_t b = count(*mets[1].second, name);
+        EXPECT_GT(a, 0u) << name;
+        EXPECT_GT(b, 0u) << name;
+        EXPECT_EQ(count(root->metricsRegistry(), name), a + b)
+            << name;
+    }
 }
 
 TEST(ServerDaemon, SharedCacheServesCrossSessionHits)
@@ -692,18 +802,15 @@ TEST(ServerDaemon, CacheEvictionsKeepByteAccounting)
 TEST(ServerDaemon, RecoversByteIdenticalFromWalReplay)
 {
     const std::string dir = scratchDir("recover-wal");
-    const std::string script = "admit x0 probe verify 256\n"
-                               "admit x1 match probe 128\n"
-                               "remove x0\n";
+    const std::string script = "a admit x0 probe verify 256\n"
+                               "a admit x1 match probe 128\n"
+                               "a remove x0\n";
     {
         DaemonConfig cfg;
         cfg.stateDir = dir;
         SchedulingDaemon d(cfg);
         ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op :
-             parseOps("a admit x0 probe verify 256\n"
-                      "a admit x1 match probe 128\n"
-                      "a remove x0\n"))
+        for (const DaemonOp &op : parseOps(script))
             ASSERT_TRUE(
                 d.submit("a", op.request).get().result.accepted);
         d.drain();
@@ -747,9 +854,9 @@ TEST(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
     EXPECT_LT(d2.recovery().replayed, 4u);
     EXPECT_EQ(d2.recovery().replayRejected, 0u);
     EXPECT_EQ(publishedBytes(d2, "a"),
-              directBytes("admit x0 probe verify 256\n"
-                          "admit x1 match probe 128\n"
-                          "remove x0\n"));
+              directBytes("a admit x0 probe verify 256\n"
+                          "a admit x1 match probe 128\n"
+                          "a remove x0\n"));
 }
 
 TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
@@ -785,8 +892,8 @@ TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
     SchedulingDaemon d2(cfg);
     EXPECT_GE(d2.recovery().rejectedSnapshots.size(), 1u);
     EXPECT_EQ(publishedBytes(d2, "a"),
-              directBytes("admit x0 probe verify 256\n"
-                          "remove x0\n"));
+              directBytes("a admit x0 probe verify 256\n"
+                          "a remove x0\n"));
 }
 
 TEST(ServerDaemon, UnsyncedTailIsLostOnCrash)
@@ -836,7 +943,7 @@ TEST(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
     EXPECT_TRUE(d2.recovery().walTornTail);
     EXPECT_EQ(d2.recovery().walRecords, 2u);
     EXPECT_EQ(publishedBytes(d2, "a"),
-              directBytes("admit x0 probe verify 256\n"));
+              directBytes("a admit x0 probe verify 256\n"));
     // The rewritten log must append cleanly from here.
     online::Request admit;
     admit.kind = online::RequestKind::AdmitMessage;
@@ -889,9 +996,9 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
         EXPECT_FALSE(d2.recovery().snapshotPath.empty());
         EXPECT_EQ(d2.recovery().replayed, 0u);
         EXPECT_EQ(publishedBytes(d2, "a"),
-                  directBytes("admit x0 probe verify 256\n"
-                              "admit x1 match probe 128\n"
-                              "remove x0\n"));
+                  directBytes("a admit x0 probe verify 256\n"
+                              "a admit x1 match probe 128\n"
+                              "a remove x0\n"));
         EXPECT_TRUE(
             std::filesystem::exists(dir + "/wal.jsonl.stale"));
         online::Request admit;
@@ -928,12 +1035,12 @@ TEST(ServerDaemon, SnapshotsTolerateInFlightOpens)
     // a session's Open record precedes all its Requests, which
     // precede its Close.
     const std::string dir = scratchDir("snap-inflight-open");
-    const std::string script = "admit x0 probe verify 256\n"
-                               "remove x0\n"
-                               "admit x0 probe verify 256\n"
-                               "remove x0\n"
-                               "admit x0 probe verify 256\n"
-                               "remove x0\n";
+    const std::string script = "a admit x0 probe verify 256\n"
+                               "a remove x0\n"
+                               "a admit x0 probe verify 256\n"
+                               "a remove x0\n"
+                               "a admit x0 probe verify 256\n"
+                               "a remove x0\n";
     {
         DaemonConfig cfg;
         cfg.stateDir = dir;
@@ -950,13 +1057,7 @@ TEST(ServerDaemon, SnapshotsTolerateInFlightOpens)
                           DaemonOutcome::Ok);
             }
         });
-        for (const DaemonOp &op : parseOps(
-                 "a admit x0 probe verify 256\n"
-                 "a remove x0\n"
-                 "a admit x0 probe verify 256\n"
-                 "a remove x0\n"
-                 "a admit x0 probe verify 256\n"
-                 "a remove x0\n"))
+        for (const DaemonOp &op : parseOps(script))
             ASSERT_TRUE(
                 d.submit("a", op.request).get().result.accepted);
         opener.join();

@@ -25,6 +25,15 @@
 # out of scope; the suites that exercise the singletons (test_trace,
 # test_metrics) must keep reaching them directly. Run from the
 # repository root; exits non-zero with one line per violation.
+#
+# It also fails on any mention — code or comment — under src/,
+# tools/, bench/ or tests/ of the retired second front end and
+# process-wide solver counters: the `serve` command, its request
+# script parser and header, and the lp solver-stats block with its
+# reset and counter accessors. The daemon protocol is the one request
+# grammar; the solver.* counters in each context's metrics registry
+# are the only solver totals. (The names are spelled in split
+# literals below so this file does not match itself.)
 
 set -u
 
@@ -53,6 +62,18 @@ scan() {
 scan 'Registry::global()' 'Registry::global()'
 scan 'Tracer::instance()' 'Tracer::instance()'
 scan 'std::getenv' 'std::getenv'
+
+retired="solver""Counters|solver""Stats|Solver""Stats"
+retired="$retired|Solver""CounterBlock|cmd""Serve"
+retired="$retired|parseRequest""Script|online/script""[.]hh"
+grep -rn -E "$retired" src tools bench tests >"$out" 2>/dev/null || true
+if [ -s "$out" ]; then
+    echo "check_globals: retired serve front end or process-wide" \
+         "solver counters (use the daemon protocol and solver.*" \
+         "registry counters):"
+    sed 's/^/  /' "$out"
+    status=1
+fi
 
 if [ "$status" -ne 0 ]; then
     echo "check_globals: FAILED — route these through an" \

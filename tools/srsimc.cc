@@ -27,6 +27,11 @@
  *       Simulate wormhole routing at the same operating point and
  *       report output (in)consistency.
  *
+ *   srsimc daemon [--script FILE | --stdin] [--state-dir DIR] ...
+ *       Run the online scheduling service over a daemon script
+ *       (src/server/protocol.hh): one JSON line per request, then a
+ *       summary. A one-session script drives a single service.
+ *
  * Exit status: 0 on success / feasible, 1 on infeasible or OI,
  * 2 on usage errors.
  */
@@ -54,11 +59,8 @@
 #include "mapping/allocation.hh"
 #include "metrics/metrics.hh"
 #include "online/cache.hh"
-#include "online/script.hh"
-#include "online/service.hh"
 #include "server/daemon.hh"
 #include "server/protocol.hh"
-#include "solver/lp.hh"
 #include "tfg/tfg_io.hh"
 #include "tfg/timing.hh"
 #include "topology/factory.hh"
@@ -111,13 +113,6 @@ usage()
         "         [--vc N] [--invocations N]\n"
         "         [--trace FILE] [--trace-format chrome|csv]\n"
         "         [--metrics FILE] [--threads N]\n"
-        "  srsimc serve --tfg FILE --topo SPEC --period US\n"
-        "         [--bandwidth B] [--ap-speed S] [--alloc KIND]\n"
-        "         [--feedback N] [--guard T] [--seed S]\n"
-        "         [--script FILE] [--cache-cap N] [--no-cache]\n"
-        "         [--preload FILE] [--out FILE]\n"
-        "         [--trace FILE] [--trace-format chrome|csv]\n"
-        "         [--metrics FILE] [--threads N]\n"
         "  srsimc daemon [--script FILE | --stdin]\n"
         "         [--state-dir DIR] [--workers N] [--queue-cap K]\n"
         "         [--snapshot-every M] [--wal-sync-every W]\n"
@@ -155,10 +150,6 @@ knownFlags()
                                  "node-schedules", "faults"});
             m["simulate"] = common;
             m["simulate"].insert({"vc", "invocations"});
-            m["serve"] = common;
-            m["serve"].insert({"feedback", "guard", "script",
-                               "cache", "cache-cap", "no-cache",
-                               "preload", "out"});
             m["daemon"] = {"script", "stdin", "state-dir",
                            "workers", "queue-cap",
                            "snapshot-every", "wal-sync-every",
@@ -491,63 +482,6 @@ cmdSimulate(const Options &opts)
     return 0;
 }
 
-/** One-line description of a request for the per-request JSON. */
-std::string
-requestArg(const online::Request &r)
-{
-    using online::RequestKind;
-    switch (r.kind) {
-      case RequestKind::AdmitMessage: {
-          std::string s;
-          for (const online::AdmitSpec &a : r.admits) {
-              if (!s.empty())
-                  s += ",";
-              s += a.name;
-          }
-          return s;
-      }
-      case RequestKind::RemoveMessage: return r.name;
-      case RequestKind::UpdatePeriod: {
-          std::ostringstream oss;
-          oss << r.period;
-          return oss.str();
-      }
-      case RequestKind::InjectFault: return r.faultSpec;
-    }
-    return {};
-}
-
-void
-writeRequestJson(JsonWriter &w, int index, const std::string &kind,
-                 const std::string &arg,
-                 const online::RequestResult &res)
-{
-    w.beginObject();
-    w.kv("index", index);
-    w.kv("kind", kind);
-    if (!arg.empty())
-        w.kv("arg", arg);
-    w.kv("accepted", res.accepted);
-    w.kv("reason", online::rejectReasonName(res.reason));
-    if (!res.detail.empty())
-        w.kv("detail", res.detail);
-    w.kv("subsetsTotal",
-         static_cast<std::uint64_t>(res.subsetsTotal));
-    w.kv("subsetsResolved",
-         static_cast<std::uint64_t>(res.subsetsResolved));
-    w.kv("subsetsCopied",
-         static_cast<std::uint64_t>(res.subsetsCopied));
-    w.kv("usedCache", res.usedCache);
-    w.kv("usedIncremental", res.usedIncremental);
-    w.kv("usedFullCompile", res.usedFullCompile);
-    w.kv("latencyMs", res.latencyMs);
-    w.kv("period", res.period);
-    w.kv("peakU", res.peakUtilization);
-    if (res.requiredPeriod > 0.0)
-        w.kv("requiredPeriod", res.requiredPeriod);
-    w.endObject();
-}
-
 double
 percentileOf(std::vector<double> sorted, double p)
 {
@@ -561,207 +495,6 @@ percentileOf(std::vector<double> sorted, double p)
         std::min(lo + 1, sorted.size() - 1);
     const double frac = idx - static_cast<double>(lo);
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-int
-cmdServe(const Options &opts)
-{
-    const TaskFlowGraph g = loadTfg(opts);
-    auto topo = makeTopology(opts.str("topo"));
-    TimingModel tm;
-    tm.apSpeed = opts.num("ap-speed", 1.0);
-    tm.bandwidth = opts.num("bandwidth", 64.0);
-    const Time period = opts.num("period", 0.0);
-    if (period <= 0.0)
-        fatal("--period US is required");
-
-    const TaskAllocation alloc =
-        makeAllocation(opts, g, *topo, tm, period);
-
-    // --preload exercises the hardened schedule reader: a corrupt
-    // or truncated file is reported and skipped, never an abort.
-    if (opts.has("preload")) {
-        const std::string path = opts.str("preload");
-        std::ifstream in(path);
-        if (!in)
-            fatal("cannot open schedule file '", path, "'");
-        const ScheduleReadResult pre = tryReadSchedule(in, *topo);
-        if (pre.ok)
-            std::cerr << "preload: schedule '" << path
-                      << "' ok (period " << pre.omega.period
-                      << " us, " << pre.omega.segments.size()
-                      << " messages)\n";
-        else
-            std::cerr << "preload: rejected '" << path
-                      << "': " << pre.error << "\n";
-    }
-
-    enableObservability(opts);
-
-    online::OnlineSchedulerConfig cfg;
-    cfg.compiler.inputPeriod = period;
-    cfg.compiler.feedbackRounds =
-        static_cast<int>(opts.num("feedback", 0));
-    cfg.compiler.scheduling.guardTime = opts.num("guard", 0.0);
-    cfg.compiler.assign.seed =
-        static_cast<std::uint64_t>(opts.num("seed", 12345));
-    // --cache-cap is the canonical spelling; --cache stays as an
-    // alias for older scripts.
-    cfg.cacheCapacity =
-        opts.has("no-cache")
-            ? 0
-            : static_cast<std::size_t>(opts.num(
-                  "cache-cap", opts.num("cache", 64)));
-
-    // Parse the whole script up front so a malformed line is a
-    // usage error before any request mutates the service.
-    online::ScriptParseResult script;
-    if (opts.has("script")) {
-        const std::string path = opts.str("script");
-        std::ifstream in(path);
-        if (!in)
-            fatal("cannot open script file '", path, "'");
-        script = online::parseRequestScript(in);
-    } else {
-        script = online::parseRequestScript(std::cin);
-    }
-    if (!script.ok)
-        fatal("invalid input: script line ", script.errorLine,
-              ": ", script.error);
-
-    std::ofstream outFile;
-    std::ostream *os = &std::cout;
-    if (opts.has("out")) {
-        outFile.open(opts.str("out"));
-        if (!outFile)
-            fatal("cannot write '", opts.str("out"), "'");
-        os = &outFile;
-    }
-
-    online::OnlineScheduler svc(g, std::move(topo), alloc, tm,
-                                cfg);
-
-    struct Tally
-    {
-        int admitted = 0, removed = 0, periodUpdates = 0,
-            faults = 0, rejected = 0;
-        std::uint64_t resolved = 0, copied = 0;
-        std::vector<double> admitLatencies;
-    } tally;
-
-    const online::RequestResult first = svc.start();
-    {
-        JsonWriter w(*os);
-        writeRequestJson(w, 0, "start", "", first);
-        *os << "\n";
-    }
-    if (!first.accepted) {
-        writeObservability(opts);
-        std::cerr << "initial compile rejected ("
-                  << online::rejectReasonName(first.reason)
-                  << "): " << first.detail << "\n";
-        return 1;
-    }
-
-    int index = 0;
-    for (const online::Request &r : script.requests) {
-        ++index;
-        const online::RequestResult res = svc.process(r);
-        {
-            JsonWriter w(*os);
-            writeRequestJson(w, index,
-                             online::requestKindName(r.kind),
-                             requestArg(r), res);
-            *os << "\n";
-        }
-        if (!res.accepted) {
-            ++tally.rejected;
-        } else {
-            switch (r.kind) {
-              case online::RequestKind::AdmitMessage:
-                  ++tally.admitted;
-                  break;
-              case online::RequestKind::RemoveMessage:
-                  ++tally.removed;
-                  break;
-              case online::RequestKind::UpdatePeriod:
-                  ++tally.periodUpdates;
-                  break;
-              case online::RequestKind::InjectFault:
-                  ++tally.faults;
-                  break;
-            }
-        }
-        tally.resolved += res.subsetsResolved;
-        tally.copied += res.subsetsCopied;
-        if (r.kind == online::RequestKind::AdmitMessage)
-            tally.admitLatencies.push_back(res.latencyMs);
-    }
-
-    const auto st = svc.published();
-    const online::ScheduleCache &cache = svc.cache();
-    const std::uint64_t lookups = cache.hits() + cache.misses();
-    {
-        JsonWriter w(*os);
-        w.beginObject();
-        w.key("summary").beginObject();
-        w.kv("requests",
-             static_cast<std::uint64_t>(script.requests.size()));
-        w.kv("admitted", tally.admitted);
-        w.kv("removed", tally.removed);
-        w.kv("periodUpdates", tally.periodUpdates);
-        w.kv("faultsInjected", tally.faults);
-        w.kv("rejected", tally.rejected);
-        w.kv("subsetsResolved", tally.resolved);
-        w.kv("subsetsCopied", tally.copied);
-        w.key("cache").beginObject();
-        w.kv("hits", cache.hits());
-        w.kv("misses", cache.misses());
-        w.kv("evictions", cache.evictions());
-        w.kv("entries", static_cast<std::uint64_t>(cache.size()));
-        w.kv("bytes", cache.bytes());
-        w.kv("hitRate",
-             lookups == 0
-                 ? 0.0
-                 : static_cast<double>(cache.hits()) /
-                       static_cast<double>(lookups));
-        w.endObject();
-        {
-            const lp::SolverStats ss = lp::solverStats();
-            w.key("solver").beginObject();
-            w.kv("solves", ss.solves);
-            w.kv("pivots", ss.pivots);
-            w.key("warmstart").beginObject();
-            w.kv("attempts", ss.warmAttempts);
-            w.kv("hits", ss.warmHits);
-            w.kv("misses", ss.warmMisses);
-            w.endObject();
-            w.endObject();
-        }
-        // An empty script (or one with no admits) has no latency
-        // distribution; emit the count and no fabricated zeros.
-        w.key("admitLatencyMs").beginObject();
-        w.kv("count", static_cast<std::uint64_t>(
-                          tally.admitLatencies.size()));
-        if (!tally.admitLatencies.empty()) {
-            w.kv("p50", percentileOf(tally.admitLatencies, 50.0));
-            w.kv("p95", percentileOf(tally.admitLatencies, 95.0));
-            w.kv("p99", percentileOf(tally.admitLatencies, 99.0));
-        }
-        w.endObject();
-        w.kv("finalPeriod", st->omega.period);
-        w.kv("finalVersion", st->version);
-        w.kv("finalMessages",
-             static_cast<std::uint64_t>(
-                 st->bounds.messages.size()));
-        w.kv("finalPeakU", st->peakUtilization);
-        w.endObject();
-        w.endObject();
-        *os << "\n";
-    }
-
-    writeObservability(opts);
-    return 0;
 }
 
 void
@@ -784,6 +517,13 @@ writeDaemonResponseJson(JsonWriter &w,
              online::rejectReasonName(resp.result.reason));
         if (!resp.result.detail.empty())
             w.kv("resultDetail", resp.result.detail);
+        w.kv("subsetsResolved", static_cast<std::uint64_t>(
+                                    resp.result.subsetsResolved));
+        w.kv("subsetsCopied", static_cast<std::uint64_t>(
+                                  resp.result.subsetsCopied));
+        w.kv("usedCache", resp.result.usedCache);
+        w.kv("usedIncremental", resp.result.usedIncremental);
+        w.kv("usedFullCompile", resp.result.usedFullCompile);
         w.kv("latencyMs", resp.result.latencyMs);
         w.kv("period", resp.result.period);
         w.kv("peakU", resp.result.peakUtilization);
@@ -916,14 +656,21 @@ cmdDaemon(const Options &opts)
         w.kv("bytes", cache.bytes());
         w.endObject();
         {
-            const lp::SolverStats ss = lp::solverStats();
+            // Every session registry writes through to the root's,
+            // so the root holds the daemon-wide solver totals.
+            metrics::Registry &root =
+                engine::EngineContext::processDefault()
+                    .metricsRegistry();
+            const auto count = [&](const char *name) {
+                return root.counter(name).value();
+            };
             w.key("solver").beginObject();
-            w.kv("solves", ss.solves);
-            w.kv("pivots", ss.pivots);
+            w.kv("solves", count("solver.solves"));
+            w.kv("pivots", count("solver.pivots"));
             w.key("warmstart").beginObject();
-            w.kv("attempts", ss.warmAttempts);
-            w.kv("hits", ss.warmHits);
-            w.kv("misses", ss.warmMisses);
+            w.kv("attempts", count("solver.warmstart.attempts"));
+            w.kv("hits", count("solver.warmstart.hits"));
+            w.kv("misses", count("solver.warmstart.misses"));
             w.endObject();
             w.endObject();
         }
@@ -978,8 +725,7 @@ main(int argc, char **argv)
         const std::size_t eq = arg.find('=');
         if (eq != std::string::npos) {
             opts.kv[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (arg == "node-schedules" || arg == "no-cache" ||
-                   arg == "stdin") {
+        } else if (arg == "node-schedules" || arg == "stdin") {
             opts.kv[arg] = "1";
         } else if (i + 1 < argc) {
             opts.kv[arg] = argv[++i];
@@ -997,8 +743,6 @@ main(int argc, char **argv)
             return cmdCompile(opts);
         if (opts.command == "simulate")
             return cmdSimulate(opts);
-        if (opts.command == "serve")
-            return cmdServe(opts);
         if (opts.command == "daemon")
             return cmdDaemon(opts);
         return usage();
