@@ -71,9 +71,12 @@ struct UtilizationReport
     PeakPosition position;
 };
 
+class LinkLoad;
+
 /**
  * Computes link/spot utilizations of path assignments against fixed
- * time bounds and interval decomposition.
+ * time bounds and interval decomposition. Stateless after
+ * construction, so one analyzer may serve concurrent walks.
  */
 class UtilizationAnalyzer
 {
@@ -98,6 +101,9 @@ class UtilizationAnalyzer
      * no-slack message satisfies U^s_jk <= 1 and is not contention.
      * This matches the paper's plotted curves, which drop below 1.0
      * even at tau_m == tau_c where a no-slack message always exists.
+     *
+     * Equivalent to LinkLoad(*this, pa).report(), which is how it is
+     * computed: the U rule lives in LinkLoad alone.
      */
     UtilizationReport analyze(const PathAssignment &pa) const;
 
@@ -105,21 +111,156 @@ class UtilizationAnalyzer
     const IntervalSet &intervals() const { return intervals_; }
 
   private:
+    friend class LinkLoad;
+
     const TimeBounds &bounds_;
     const IntervalSet &intervals_;
     const Topology &topo_;
 
-    // Precomputed per-message data.
+    // Precomputed per-message, per-interval and per-link data.
     std::vector<Time> durations_;
     std::vector<bool> noSlack_;
     std::vector<std::vector<std::size_t>> activeIv_;
+    std::vector<double> lengths_;
+    std::vector<double> capacity_;
+};
 
-    // Reusable scratch for analyze(); makes the analyzer
-    // single-threaded but keeps the hot path allocation-free.
-    mutable std::vector<double> scratchDemand_;
-    mutable std::vector<char> scratchUsed_;
-    mutable std::vector<int> scratchSpot_;
-    mutable std::vector<LinkId> scratchTouched_;
+/**
+ * The link-load state of one path assignment, kept incrementally so
+ * that a one-message move is scored on the links it touches only.
+ *
+ * Per link it keeps the messages routed over it (ascending index),
+ * the per-interval active and no-slack counts, and its local best:
+ * the link utilization, or the first hot-spot (s > 1) that beats it.
+ * Links are ranked by local best, ties to the smallest first-touch
+ * key (first message on the link, position of the link in that
+ * message's path). That ranking reproduces analyze()'s strict-`>`
+ * scan bit for bit, which visits links in first-touch order:
+ *
+ *   - a link's demand is always a fresh sum over its messages in
+ *     index order and its active time a sum in interval order, never
+ *     a running `+=`/`-=` delta, so the doubles match a full pass;
+ *   - equal peaks resolve to the smallest first-touch key, which is
+ *     the position the full scan reports.
+ *
+ * Not thread-safe, score() included (it memoizes link measurements);
+ * each walk owns its own LinkLoad.
+ */
+class LinkLoad
+{
+  public:
+    /**
+     * The state of `pa`. It refers to pa's paths and to every path
+     * later passed to apply(); those must outlive the LinkLoad.
+     */
+    LinkLoad(const UtilizationAnalyzer &ua, const PathAssignment &pa);
+
+    /** Peak utilization of the current assignment. */
+    UtilizationReport report() const;
+
+    /**
+     * Peak utilization the assignment would have with message `msg`
+     * on `path` instead; the state is left unchanged. Equal to
+     * analyze() of the moved assignment.
+     */
+    UtilizationReport score(std::size_t msg, const Path &path) const;
+
+    /** Move message `msg` onto `path`. */
+    void apply(std::size_t msg, const Path &path);
+
+    /** The current route of message `msg`. */
+    const Path &path(std::size_t msg) const { return *paths_[msg]; }
+
+    /** A copy of the current assignment. */
+    PathAssignment assignment() const;
+
+    /**
+     * Message indices routed over link j, ascending; a message whose
+     * path crosses j twice appears twice. Empty for kInvalidLink.
+     */
+    const std::vector<std::size_t> &messagesOn(LinkId j) const;
+
+  private:
+    /** A link's local best and first-touch key. */
+    struct Rank
+    {
+        double value = 0.0;
+        std::uint64_t key = 0;
+        PeakPosition position;
+
+        /** Ranks earlier in the full scan's verdict order. */
+        bool
+        operator<(const Rank &o) const
+        {
+            return value > o.value ||
+                   (value == o.value && key < o.key);
+        }
+    };
+
+    /** Marks "no message moves" for measure(). */
+    static constexpr std::size_t kNoMove = SIZE_MAX;
+
+    /**
+     * Per-link working state of score(). `mark` tags the links of
+     * the move being scored, with their crossings before and after
+     * it. `memo` keeps the link's measure() under one move until the
+     * next apply(): a message's candidate paths overlap heavily, so
+     * most of a link's measurements repeat.
+     */
+    struct Probe
+    {
+        std::uint64_t mark = 0;
+        int before = 0;
+        int after = 0;
+        bool seen = false;
+        std::uint64_t memoState = 0;
+        std::size_t memoMsg = kNoMove;
+        int memoBefore = 0;
+        int memoAfter = 0;
+        Rank memo;
+    };
+
+    /** Messages on a link in an interval: all, and no-slack ones. */
+    struct Count
+    {
+        int active = 0;
+        int noSlack = 0;
+    };
+
+    /** row_ entry of a link no message has crossed yet. */
+    static constexpr std::uint32_t kNoRow = UINT32_MAX;
+
+    std::uint32_t addRow(LinkId l);
+    const std::vector<std::size_t> &msgsOf(LinkId l) const;
+    Rank measure(LinkId l, std::size_t msg, int before,
+                 int after) const;
+    Rank fresh(LinkId l) const;
+    std::uint64_t keyOf(LinkId l, std::size_t msg, const Path &path,
+                        int after) const;
+    void rerank(LinkId l);
+
+    const UtilizationAnalyzer &ua_;
+    std::vector<const Path *> paths_;
+    std::size_t kk_ = 0;
+    /**
+     * Per link, its row in the tables below. Only links some message
+     * has crossed get a row, so building the state costs what the
+     * assignment uses, not links x intervals.
+     */
+    std::vector<std::uint32_t> row_;
+    /** Per row: the messages routed over the link, ascending. */
+    std::vector<std::vector<std::size_t>> msgs_;
+    /** Per row and interval, row-major. */
+    std::vector<Count> counts_;
+    /** Per row: the link's rank. */
+    std::vector<Rank> rank_;
+    /** Links with a positive local best, sorted best first. */
+    std::vector<Rank> ranked_;
+    /** Bumped by apply(); tags the memos still valid. */
+    std::uint64_t state_ = 1;
+    /** Bumped by score(); tags the links of the move it scores. */
+    mutable std::uint64_t mark_ = 0;
+    mutable std::vector<Probe> probe_;
 };
 
 namespace engine {
@@ -159,6 +300,8 @@ struct AssignPathsResult
     UtilizationReport report;
     int restarts = 0;
     int reroutes = 0;
+    /** Candidate paths scored, summed over every walk. */
+    std::uint64_t evals = 0;
     /**
      * False when no candidate path exists for some message (e.g. a
      * disconnected fabric); the assignment is then unusable and

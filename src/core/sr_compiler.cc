@@ -90,6 +90,7 @@ attemptCompile(const TaskFlowGraph &g, const Topology &topo,
         res.utilization = ap.report;
         res.assignRestarts = ap.restarts;
         res.assignReroutes = ap.reroutes;
+        res.assignEvals = ap.evals;
     } else {
         trace::ScopedPhase phase("lsd_to_msd", tracer, reg);
         res.paths = lsdToMsdAssignment(g, topo, alloc, res.bounds);
@@ -307,6 +308,7 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
             .add(static_cast<std::uint64_t>(res.assignRestarts));
         mreg.counter("sr.assign_reroutes")
             .add(static_cast<std::uint64_t>(res.assignReroutes));
+        mreg.counter("sr.assign_evals").add(res.assignEvals);
         mreg.counter("sr.feedback_rounds")
             .add(static_cast<std::uint64_t>(res.feedbackRoundsUsed));
     }

@@ -89,6 +89,8 @@ struct SrCompileResult
     UtilizationReport utilization;
     int assignRestarts = 0;
     int assignReroutes = 0;
+    /** Candidate paths AssignPaths scored. */
+    std::uint64_t assignEvals = 0;
     /** Feedback rounds actually consumed (0 = first try). */
     int feedbackRoundsUsed = 0;
     std::size_t numSubsets = 0;

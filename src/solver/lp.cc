@@ -128,6 +128,13 @@ class Tableau
      * recoverable numerical verdict, never a process abort: the
      * solver's inputs are user data, not internal invariants.
      *
+     * Elimination is row-sparse: only the columns where the
+     * normalised pivot row is nonzero are updated. A skipped cell
+     * would compute t - f * 0.0, which for finite f is t again (up to
+     * the sign of a zero), so every nonzero bit matches the dense
+     * sweep; a non-finite f keeps the dense sweep, where f * 0.0 is
+     * NaN.
+     *
      * @return true if the pivot was applied
      */
     bool
@@ -137,18 +144,29 @@ class Tableau
         if (!std::isfinite(pv) || !(std::abs(pv) > tol))
             return false;
         const double inv = 1.0 / pv;
-        for (std::size_t c = 0; c <= n_; ++c)
-            t_(row, c) *= inv;
-        t_(row, col) = 1.0;
+        double *prow = &t_(row, 0);
+        nz_.clear();
+        for (std::size_t c = 0; c <= n_; ++c) {
+            prow[c] *= inv;
+            if (prow[c] != 0.0)
+                nz_.push_back(c);
+        }
+        prow[col] = 1.0;
         for (std::size_t r = 0; r <= m_; ++r) {
             if (r == row)
                 continue;
-            const double f = t_(r, col);
+            double *t = &t_(r, 0);
+            const double f = t[col];
             if (f == 0.0)
                 continue;
-            for (std::size_t c = 0; c <= n_; ++c)
-                t_(r, c) -= f * t_(row, c);
-            t_(r, col) = 0.0;
+            if (std::isfinite(f)) {
+                for (std::size_t c : nz_)
+                    t[c] -= f * prow[c];
+            } else {
+                for (std::size_t c = 0; c <= n_; ++c)
+                    t[c] -= f * prow[c];
+            }
+            t[col] = 0.0;
         }
         basis_[row] = col;
         return true;
@@ -172,6 +190,8 @@ class Tableau
     std::size_t n_;
     Matrix<double> t_;
     std::vector<std::size_t> basis_;
+    /** Nonzero columns of the last normalised pivot row. */
+    std::vector<std::size_t> nz_;
 };
 
 /**
@@ -467,7 +487,9 @@ solveDense(const Problem &p, const SolveOptions &opts)
     }
 
     sol.status = Status::Optimal;
-    sol.objective = -tab.objValue();
+    // 0.0 - x, not -x: a zero optimum is +0.0 whichever sign of zero
+    // the elimination left in the objective cell.
+    sol.objective = 0.0 - tab.objValue();
     sol.values.assign(n_struct, 0.0);
     for (std::size_t r = 0; r < m; ++r) {
         const std::size_t b = tab.basis(r);

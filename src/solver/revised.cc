@@ -804,7 +804,7 @@ class Rev
     extract(Solution &sol)
     {
         sol.status = Status::Optimal;
-        sol.objective = -objv_;
+        sol.objective = 0.0 - objv_; // a zero optimum is +0.0
         sol.values.assign(sf_.n_struct, 0.0);
         for (std::size_t r = 0; r < m_; ++r) {
             const std::size_t bcol = basis_[r];

@@ -6,6 +6,10 @@
  */
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,8 +19,10 @@
 #include "core/time_bounds.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
+#include "topology/factory.hh"
 #include "topology/generalized_hypercube.hh"
 #include "topology/torus.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
@@ -261,6 +267,7 @@ TEST(AssignPathsTest, DeterministicAcrossThreadCounts)
                 << topo->name() << " threads=" << threads;
             EXPECT_EQ(par.restarts, serial.restarts);
             EXPECT_EQ(par.reroutes, serial.reroutes);
+            EXPECT_EQ(par.evals, serial.evals);
             ASSERT_EQ(par.assignment.paths.size(),
                       serial.assignment.paths.size());
             for (std::size_t i = 0;
@@ -406,6 +413,181 @@ TEST(SubsetsTest, SubsetsPartitionAllMessages)
             ++seen[i];
     for (int c : seen)
         EXPECT_EQ(c, 1);
+}
+
+/**
+ * Peak U written straight from Defs. 5.1/5.2: links are visited in
+ * first-touch order (by message index, then position in the path),
+ * each link's ratio before its spots, and a candidate wins only when
+ * strictly greater. Independent of LinkLoad's incremental state.
+ */
+UtilizationReport
+referencePeak(const PathAssignment &pa, const TimeBounds &tb,
+              const IntervalSet &ivs, const Topology &topo)
+{
+    std::vector<LinkId> order;
+    for (const Path &p : pa.paths)
+        for (LinkId l : p.links)
+            if (std::find(order.begin(), order.end(), l) == order.end())
+                order.push_back(l);
+
+    UtilizationReport rep;
+    for (LinkId l : order) {
+        double demand = 0.0;
+        std::vector<bool> used(ivs.size(), false);
+        std::vector<int> spot(ivs.size(), 0);
+        for (std::size_t i = 0; i < pa.paths.size(); ++i) {
+            for (LinkId pl : pa.paths[i].links) {
+                if (pl != l)
+                    continue;
+                demand += tb.messages[i].duration;
+                for (std::size_t k = 0; k < ivs.size(); ++k) {
+                    if (!ivs.active(i, k))
+                        continue;
+                    used[k] = true;
+                    if (tb.messages[i].noSlack())
+                        ++spot[k];
+                }
+            }
+        }
+        double avail = 0.0;
+        for (std::size_t k = 0; k < ivs.size(); ++k)
+            if (used[k])
+                avail += ivs.interval(k).length();
+        avail *= topo.linkCapacity(l);
+        const double u =
+            avail > 0.0 ? demand / avail
+                        : (demand > 0.0
+                               ? std::numeric_limits<double>::infinity()
+                               : 0.0);
+        if (u > rep.peak) {
+            rep.peak = u;
+            rep.position = PeakPosition{false, l, 0};
+        }
+        for (std::size_t k = 0; k < ivs.size(); ++k) {
+            const double s = spot[k];
+            if (s > 1.0 && s > rep.peak) {
+                rep.peak = s;
+                rep.position = PeakPosition{true, l, k};
+            }
+        }
+    }
+    return rep;
+}
+
+/**
+ * Random time bounds on an integer grid, so equal utilizations (tied
+ * peaks) are common. Windows may wrap the frame; durations include
+ * zero and no-slack ones.
+ */
+TimeBounds
+randomBounds(Rng &rng, std::size_t nmsg)
+{
+    TimeBounds tb;
+    tb.inputPeriod = 12.0;
+    for (std::size_t i = 0; i < nmsg; ++i) {
+        MessageBounds b;
+        b.msg = static_cast<MessageId>(i);
+        const double r = rng.uniformInt(0, 11);
+        const double w = rng.uniformInt(1, 6);
+        b.release = r;
+        b.deadline = r + w <= 12.0 ? r + w : r + w - 12.0;
+        if (r + w <= 12.0) {
+            b.windows = {TimeWindow{r, r + w}};
+        } else {
+            b.windows = {TimeWindow{r, 12.0},
+                         TimeWindow{0.0, r + w - 12.0}};
+        }
+        switch (rng.uniformInt(0, 3)) {
+          case 0: b.duration = 0.0; break;
+          case 1: b.duration = w; break;  // no slack
+          case 2: b.duration = rng.uniformInt(1, 6) * 0.5; break;
+          default: b.duration = rng.uniformReal(0.1, w); break;
+        }
+        tb.messages.push_back(b);
+    }
+    return tb;
+}
+
+TEST(LinkLoadProperty, DeltaScoreEqualsFullAnalysis)
+{
+    const char *const fabrics[] = {"torus:3,3", "torus:4,4", "cube:3",
+                                   "cube:4",    "ghc:3,3",   "mesh:3,3"};
+    const auto expectSame = [](const UtilizationReport &got,
+                               const UtilizationReport &want,
+                               const std::string &what) {
+        EXPECT_EQ(std::memcmp(&got.peak, &want.peak, sizeof(double)), 0)
+            << what << ": peak " << got.peak << " vs " << want.peak;
+        EXPECT_TRUE(got.position == want.position)
+            << what << ": position link " << got.position.link
+            << " vs " << want.position.link;
+    };
+
+    for (int walk = 0; walk < 200; ++walk) {
+        Rng rng(static_cast<std::uint64_t>(walk) + 1);
+        const auto topo = makeTopology(fabrics[rng.index(6)]);
+        const std::size_t nmsg =
+            static_cast<std::size_t>(rng.uniformInt(4, 16));
+        const TimeBounds tb = randomBounds(rng, nmsg);
+        const IntervalSet ivs(tb);
+
+        // Candidates on the healthy fabric; some repeat a link.
+        std::vector<std::vector<Path>> cands(nmsg);
+        PathAssignment pa;
+        for (std::size_t i = 0; i < nmsg; ++i) {
+            const NodeId s = static_cast<NodeId>(
+                rng.index(static_cast<std::size_t>(topo->numNodes())));
+            NodeId d = s;
+            while (d == s)
+                d = static_cast<NodeId>(rng.index(
+                    static_cast<std::size_t>(topo->numNodes())));
+            cands[i] = topo->minimalPaths(s, d, 6);
+            if (rng.chance(0.2)) {
+                Path twice = cands[i].front();
+                twice.links.push_back(twice.links.front());
+                cands[i].push_back(twice);
+            }
+            pa.paths.push_back(cands[i][rng.index(cands[i].size())]);
+        }
+        // Then degrade: derated links and failed links (U = inf).
+        for (int f = rng.uniformInt(0, 3); f > 0; --f)
+            topo->derateLink(static_cast<LinkId>(rng.index(
+                                 static_cast<std::size_t>(
+                                     topo->numLinks()))),
+                             rng.chance(0.5) ? 0.5 : 0.25);
+        if (rng.chance(0.3))
+            topo->failLink(static_cast<LinkId>(
+                rng.index(static_cast<std::size_t>(topo->numLinks()))));
+
+        const UtilizationAnalyzer ua(tb, ivs, *topo);
+        LinkLoad load(ua, pa);
+        const std::string tag = "walk " + std::to_string(walk);
+        expectSame(load.report(), referencePeak(pa, tb, ivs, *topo),
+                   tag + " start");
+        for (int step = 0; step < 30; ++step) {
+            // Score every candidate of one message, as a walk does,
+            // then maybe move it.
+            const std::size_t i = rng.index(nmsg);
+            const std::string what =
+                tag + " step " + std::to_string(step);
+            for (const Path &path : cands[i]) {
+                PathAssignment moved = load.assignment();
+                moved.paths[i] = path;
+                expectSame(load.score(i, path),
+                           referencePeak(moved, tb, ivs, *topo),
+                           what + " score");
+            }
+            if (rng.chance(0.5)) {
+                load.apply(i, cands[i][rng.index(cands[i].size())]);
+                expectSame(load.report(),
+                           referencePeak(load.assignment(), tb, ivs,
+                                         *topo),
+                           what + " apply");
+            }
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 } // namespace

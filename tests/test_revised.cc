@@ -14,6 +14,10 @@
  *    deterministic cold tableau (bit-identical values) whenever the
  *    basis is stale, foreign, or the instance turned infeasible.
  *
+ * The LP bit-identity oracle pins every bit of what the solvers
+ * return on a fixed corpus, so a solver speed-up that changes any
+ * double, or the pivot count, fails here before the goldens run.
+ *
  * Plus the bookkeeping the bench and service summaries rely on:
  * cumulative Solution::pivots across phases and branch-and-bound
  * nodes, the solver.* registry counters' warm-start accounting, and
@@ -23,6 +27,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -530,6 +539,137 @@ TEST(RevisedKind, DenseKindIgnoresWarmStart)
     EXPECT_EQ(s.objective, cold.objective);
     EXPECT_EQ(count(reg, "solver.warmstart.attempts"), 0u);
     EXPECT_EQ(s.pivots, cold.pivots);
+}
+
+/**
+ * FNV-1a over the raw bytes of solves: status, pivot count,
+ * objective and values, bit for bit (a -0.0 hashes apart from 0.0).
+ */
+class SolutionHash
+{
+  public:
+    void
+    add(const Solution &s)
+    {
+        const int status = static_cast<int>(s.status);
+        const std::uint64_t pivots = s.pivots;
+        bytes(&status, sizeof status);
+        bytes(&pivots, sizeof pivots);
+        bytes(&s.objective, sizeof s.objective);
+        for (double v : s.values)
+            bytes(&v, sizeof v);
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= b[i];
+            h_ *= 1099511628211ull;
+        }
+    }
+
+    std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/** The LPs of tests/corpus/lp/compile_lps.txt, in file order. */
+std::vector<Problem>
+compileCorpus()
+{
+    std::ifstream in(SRSIM_LP_CORPUS);
+    EXPECT_TRUE(in.good()) << "cannot open " << SRSIM_LP_CORPUS;
+    std::vector<Problem> out;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream is(line);
+        std::string tag, tok;
+        is >> tag;
+        if (tag == "lp") {
+            out.emplace_back();
+        } else if (tag == "costs") {
+            while (is >> tok)
+                out.back().addVariable(std::strtod(tok.c_str(), nullptr));
+        } else if (tag == "row") {
+            lp::Constraint c;
+            is >> tok;
+            c.rel = tok == "L"   ? Relation::LessEq
+                    : tok == "G" ? Relation::GreaterEq
+                                 : Relation::Equal;
+            is >> tok;
+            c.rhs = std::strtod(tok.c_str(), nullptr);
+            std::size_t idx;
+            while (is >> idx >> tok)
+                c.terms.emplace_back(idx,
+                                     std::strtod(tok.c_str(), nullptr));
+            out.back().addConstraint(std::move(c));
+        }
+    }
+    return out;
+}
+
+// The constants pin the solvers' output bits on the corpus; a change
+// that moves them changes what a solve returns.
+TEST(LpBitIdentity, CompileCorpus)
+{
+    const std::vector<Problem> corpus = compileCorpus();
+    ASSERT_EQ(corpus.size(), 190u);
+    SolutionHash dense, revised;
+    for (const Problem &p : corpus) {
+        dense.add(lp::solveDense(p));
+        revised.add(lp::solveRevised(p));
+    }
+    EXPECT_EQ(dense.value(), 11532723526357877122ull);
+    EXPECT_EQ(revised.value(), 10168058483653470766ull);
+}
+
+/**
+ * A zero optimum reports +0.0 from both solvers, so the sign of a
+ * zero the tableau elimination leaves behind never reaches a caller.
+ */
+TEST(LpBitIdentity, ZeroObjectiveIsPositiveZero)
+{
+    // Zero costs: the objective cell is never touched.
+    Problem free;
+    const auto a = free.addVariable(0.0, "a");
+    free.addConstraint({{a, 1.0}}, Relation::GreaterEq, 2.0);
+    // Positive costs with the optimum at the origin.
+    Problem origin;
+    const auto x = origin.addVariable(1.0, "x");
+    const auto y = origin.addVariable(2.0, "y");
+    origin.addConstraint({{x, 1.0}, {y, -1.0}}, Relation::LessEq, 3.0);
+    // An optimum of zero reached through pivots: min x - y with
+    // x - y >= 0 and x + y == 4.
+    Problem pivoted;
+    const auto u = pivoted.addVariable(1.0, "u");
+    const auto v = pivoted.addVariable(-1.0, "v");
+    pivoted.addConstraint({{u, 1.0}, {v, -1.0}}, Relation::GreaterEq,
+                          0.0);
+    pivoted.addConstraint({{u, 1.0}, {v, 1.0}}, Relation::Equal, 4.0);
+    for (const Problem *p : {&free, &origin, &pivoted}) {
+        for (const Solution &s :
+             {lp::solveDense(*p), lp::solveRevised(*p)}) {
+            ASSERT_EQ(s.status, Status::Optimal);
+            EXPECT_EQ(s.objective, 0.0);
+            EXPECT_FALSE(std::signbit(s.objective));
+        }
+    }
+}
+
+TEST(LpBitIdentity, RandomLps)
+{
+    SolutionHash dense, revised;
+    for (int seed = 1; seed <= 40; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed));
+        const Problem p = randomFeasibleLp(rng);
+        dense.add(lp::solveDense(p));
+        revised.add(lp::solveRevised(p));
+    }
+    EXPECT_EQ(dense.value(), 13690814745492123713ull);
+    EXPECT_EQ(revised.value(), 5724829782722757178ull);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/random_tfg.hh"
@@ -105,6 +106,37 @@ TEST(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
     const SeriesStats s = ex.outputIntervals(10);
     EXPECT_NEAR(s.mean(), cfg.inputPeriod, 1e-6);
     EXPECT_NEAR(s.spread(), 0.0, 1e-6);
+}
+
+/**
+ * assignEvals (the sr.assign_evals counter) counts the candidate
+ * paths AssignPaths scored. On the Fig. 9 8x8 torus at B = 128 and
+ * 3.2 tau_c that is 89667, one per candidate every walk considers,
+ * at any thread count.
+ */
+TEST(SrCompilerTest, AssignEvalsCountsCandidateScores)
+{
+    const TaskFlowGraph g = buildDvbTfg({});
+    const Torus torus({8, 8});
+    DvbParams dp;
+    TimingModel tm;
+    tm.apSpeed = dp.matchedApSpeed();
+    tm.bandwidth = 128.0;
+    const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        engine::ChildOptions co;
+        co.name = "evals";
+        co.threads = threads;
+        const auto ctx =
+            engine::EngineContext::processDefault().createChild(co);
+        SrCompilerConfig cfg;
+        cfg.ctx = ctx.get();
+        cfg.inputPeriod = 3.2 * tm.tauC(g);
+        const SrCompileResult r =
+            compileScheduledRouting(g, torus, alloc, tm, cfg);
+        ASSERT_TRUE(r.feasible) << r.detail;
+        EXPECT_EQ(r.assignEvals, 89667u) << threads << " threads";
+    }
 }
 
 TEST(SrCompilerTest, ExecutorLatencyMatchesWindowSchedule)
