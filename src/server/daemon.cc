@@ -493,14 +493,8 @@ SchedulingDaemon::runRecovery()
         for (const WalRecord &rec : wr.records)
             body << encodeWalRecord(rec) << '\n';
         std::string err;
-        const std::string tmp = wpath + ".tmp";
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << body.str();
-        out.close();
-        std::filesystem::rename(tmp, wpath, ec);
-        if (ec)
-            fatal("cannot rewrite torn WAL '", wpath,
-                  "': ", ec.message());
+        if (!replaceFileDurably(wpath, body.str(), &err))
+            fatal("cannot rewrite torn WAL '", wpath, "': ", err);
     }
 
     const std::uint64_t lastWalSeq =

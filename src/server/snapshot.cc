@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -134,6 +136,7 @@ toU64(BodyReader &r, const std::string &s)
     return v;
 }
 
+/** Write all of `bytes` to a new file `path` and fsync it. */
 bool
 writeFileDurably(const std::string &path, const std::string &bytes,
                  std::string *err)
@@ -141,22 +144,55 @@ writeFileDurably(const std::string &path, const std::string &bytes,
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
-        *err = "cannot create '" + path + "'";
+        *err = "cannot create '" + path + "': " + std::strerror(errno);
         return false;
     }
     std::size_t off = 0;
     while (off < bytes.size()) {
         const ssize_t n = ::write(fd, bytes.data() + off,
                                   bytes.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0) {
-            ::close(fd);
             *err = "short write to '" + path + "'";
+            ::close(fd);
             return false;
         }
         off += static_cast<std::size_t>(n);
     }
-    ::fsync(fd);
-    ::close(fd);
+    if (::fsync(fd) != 0) {
+        *err = "cannot fsync '" + path + "': " + std::strerror(errno);
+        ::close(fd);
+        return false;
+    }
+    if (::close(fd) != 0) {
+        *err = "cannot close '" + path + "': " + std::strerror(errno);
+        return false;
+    }
+    return true;
+}
+
+/** fsync directory `dir`, making a rename inside it durable. */
+bool
+syncDirectory(const std::string &dir, std::string *err)
+{
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) {
+        *err = "cannot open directory '" + dir + "': " +
+               std::strerror(errno);
+        return false;
+    }
+    if (::fsync(fd) != 0) {
+        *err = "cannot fsync directory '" + dir + "': " +
+               std::strerror(errno);
+        ::close(fd);
+        return false;
+    }
+    if (::close(fd) != 0) {
+        *err = "cannot close directory '" + dir + "': " +
+               std::strerror(errno);
+        return false;
+    }
     return true;
 }
 
@@ -311,6 +347,24 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
 }
 
 bool
+replaceFileDurably(const std::string &path, const std::string &bytes,
+                   std::string *err)
+{
+    const std::string tmp = path + ".tmp";
+    if (!writeFileDurably(tmp, bytes, err))
+        return false;
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        *err = "cannot rename '" + tmp + "': " + ec.message();
+        return false;
+    }
+    const std::string dir =
+        std::filesystem::path(path).parent_path().string();
+    return syncDirectory(dir.empty() ? "." : dir, err);
+}
+
+bool
 writeSnapshotFile(const std::string &dir,
                   const DaemonSnapshot &snap, std::string *pathOut,
                   std::string *err)
@@ -322,24 +376,9 @@ writeSnapshotFile(const std::string &dir,
          << std::setw(16) << std::setfill('0') << hash << ".snap";
     const std::filesystem::path finalPath =
         std::filesystem::path(dir) / name.str();
-    const std::filesystem::path tmpPath =
-        std::filesystem::path(dir) / (name.str() + ".tmp");
 
-    if (!writeFileDurably(tmpPath.string(), body, err))
+    if (!replaceFileDurably(finalPath.string(), body, err))
         return false;
-    std::error_code ec;
-    std::filesystem::rename(tmpPath, finalPath, ec);
-    if (ec) {
-        *err = "cannot rename '" + tmpPath.string() + "': " +
-               ec.message();
-        return false;
-    }
-    // Make the rename itself durable.
-    const int dfd = ::open(dir.c_str(), O_RDONLY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
-    }
     if (pathOut)
         *pathOut = finalPath.string();
     return true;

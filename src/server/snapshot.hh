@@ -110,9 +110,19 @@ bool decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
                     std::string *err);
 
 /**
- * Write `snap` into `dir` atomically (tmp + fsync + rename) under
- * its content-addressed name. @return false + *err on I/O failure;
- * on success *pathOut (if non-null) receives the final path.
+ * Replace `path` with `bytes` atomically and durably: write
+ * `path`.tmp in full (retrying EINTR), fsync it, rename it over
+ * `path`, fsync the directory. @return false + *err when any step
+ * fails; `path` then holds its old or its new bytes, and a new file
+ * is not known to be durable.
+ */
+bool replaceFileDurably(const std::string &path,
+                        const std::string &bytes, std::string *err);
+
+/**
+ * Write `snap` into `dir` under its content-addressed name with
+ * replaceFileDurably(). @return false + *err on I/O failure; on
+ * success *pathOut (if non-null) receives the final path.
  */
 bool writeSnapshotFile(const std::string &dir,
                        const DaemonSnapshot &snap,

@@ -11,7 +11,6 @@
 #include "metrics/metrics.hh"
 #include "solver/revised.hh"
 #include "util/logging.hh"
-#include "util/matrix.hh"
 
 namespace srsim {
 namespace lp {
@@ -78,44 +77,96 @@ Problem::truncateConstraints(std::size_t n)
 namespace {
 
 /**
- * Dense simplex tableau in standard equality form.
+ * Dense simplex tableau in standard equality form, stored by column.
  *
- * Layout: rows 0..m-1 are constraints, row m is the phase objective.
  * Columns 0..n-1 are variables (structural, then slack/surplus, then
- * artificial), column n is the RHS.
+ * artificial), column n is the RHS. Each column's m constraint cells
+ * are contiguous; the phase-objective row is its own array of n+1
+ * cells. Structural columns and the RHS are stored from the start. A
+ * slack, surplus or artificial column starts as the implicit unit
+ * vector v * e_r of the row r that owns it and gets storage the first
+ * time row r is normalised as a pivot row: a pivot only writes the
+ * columns whose pivot-row cell is nonzero, so until then the column
+ * stays v at row r and zero elsewhere.
  */
 class Tableau
 {
   public:
-    Tableau(std::size_t m, std::size_t n)
-        : m_(m), n_(n), t_(m + 1, n + 1, 0.0), basis_(m, 0)
-    {}
+    Tableau(std::size_t m, std::size_t n, std::size_t nStruct)
+        : m_(m), n_(n), nStruct_(nStruct), off_(n + 1, kImplicit),
+          unitRow_(n - nStruct, 0), unitVal_(n - nStruct, 0.0),
+          owned_(2 * m, kImplicit), obj_(n + 1, 0.0), basis_(m, 0),
+          fpos_(m, kImplicit), from_(n + 1, 0)
+    {
+        cells_.reserve((nStruct + 1) * m);
+        for (std::size_t c = 0; c < nStruct; ++c)
+            store(c);
+        store(n);
+    }
 
     std::size_t m() const { return m_; }
     std::size_t n() const { return n_; }
 
-    double &at(std::size_t r, std::size_t c) { return t_(r, c); }
-    double at(std::size_t r, std::size_t c) const { return t_(r, c); }
+    /** Declare column `col` the unit column v * e_row. */
+    void
+    setUnit(std::size_t row, std::size_t col, double v)
+    {
+        unitRow_[col - nStruct_] = row;
+        unitVal_[col - nStruct_] = v;
+        owned_[2 * row + (owned_[2 * row] != kImplicit)] = col;
+    }
 
-    double &rhs(std::size_t r) { return t_(r, n_); }
-    double rhs(std::size_t r) const { return t_(r, n_); }
+    /** @return the row owning slack/surplus/artificial column c. */
+    std::size_t owner(std::size_t c) const { return unitRow_[c - nStruct_]; }
 
-    double &obj(std::size_t c) { return t_(m_, c); }
-    double obj(std::size_t c) const { return t_(m_, c); }
+    double
+    at(std::size_t r, std::size_t c) const
+    {
+        if (off_[c] != kImplicit)
+            return cells_[off_[c] + r];
+        return r == unitRow_[c - nStruct_] ? unitVal_[c - nStruct_] : 0.0;
+    }
 
-    double &objValue() { return t_(m_, n_); }
-    double objValue() const { return t_(m_, n_); }
+    /** Contiguous cells of a stored column (see materialise()). */
+    double *column(std::size_t c) { return cells_.data() + off_[c]; }
+    const double *
+    column(std::size_t c) const
+    {
+        return cells_.data() + off_[c];
+    }
+
+    double &rhs(std::size_t r) { return column(n_)[r]; }
+    double rhs(std::size_t r) const { return column(n_)[r]; }
+
+    double &obj(std::size_t c) { return obj_[c]; }
+    double obj(std::size_t c) const { return obj_[c]; }
+
+    double &objValue() { return obj_[n_]; }
+    double objValue() const { return obj_[n_]; }
 
     std::size_t basis(std::size_t r) const { return basis_[r]; }
     void setBasis(std::size_t r, std::size_t col) { basis_[r] = col; }
+
+    /** Give column c storage if it is still an implicit unit column. */
+    void
+    materialise(std::size_t c)
+    {
+        if (c != kImplicit && off_[c] == kImplicit) {
+            store(c);
+            column(c)[unitRow_[c - nStruct_]] = unitVal_[c - nStruct_];
+        }
+    }
 
     /** Largest magnitude in constraint rows of column c. */
     double
     columnScale(std::size_t c) const
     {
+        if (off_[c] == kImplicit)
+            return std::abs(unitVal_[c - nStruct_]);
+        const double *t = column(c);
         double s = 0.0;
         for (std::size_t r = 0; r < m_; ++r)
-            s = std::max(s, std::abs(t_(r, c)));
+            s = std::max(s, std::abs(t[r]));
         return s;
     }
 
@@ -128,70 +179,211 @@ class Tableau
      * recoverable numerical verdict, never a process abort: the
      * solver's inputs are user data, not internal invariants.
      *
-     * Elimination is row-sparse: only the columns where the
-     * normalised pivot row is nonzero are updated. A skipped cell
-     * would compute t - f * 0.0, which for finite f is t again (up to
-     * the sign of a zero), so every nonzero bit matches the dense
-     * sweep; a non-finite f keeps the dense sweep, where f * 0.0 is
-     * NaN.
+     * Elimination reads the pivot-column cell f of every other row
+     * first, then updates only the columns whose normalised pivot-row
+     * cell p is nonzero: a skipped cell would compute t - f * 0.0,
+     * which for finite f is t again up to the sign of a zero. Each
+     * such column is one contiguous pass, `t - f * p` on the rows with
+     * f != 0 or, when those are at least a quarter of the rows and p
+     * is finite, on every row with f = 0.0 for the others (t - 0.0 * p
+     * is again t up to the sign of a zero). A constraint row with a
+     * non-finite f gets the dense sweep over every column instead,
+     * where f * 0.0 is NaN.
      *
      * @return true if the pivot was applied
      */
     bool
     pivot(std::size_t row, std::size_t col, double tol)
     {
-        const double pv = t_(row, col);
+        const double pv = at(row, col);
         if (!std::isfinite(pv) || !(std::abs(pv) > tol))
             return false;
         const double inv = 1.0 / pv;
-        double *prow = &t_(row, 0);
+        materialise(col);
+        materialise(owned_[2 * row]);
+        materialise(owned_[2 * row + 1]);
         nz_.clear();
-        for (std::size_t c = 0; c <= n_; ++c) {
-            prow[c] *= inv;
-            if (prow[c] != 0.0)
+        for (std::size_t c : live_) {
+            double &p = column(c)[row];
+            p *= inv;
+            if (p != 0.0)
                 nz_.push_back(c);
         }
-        prow[col] = 1.0;
-        for (std::size_t r = 0; r <= m_; ++r) {
-            if (r == row)
+        column(col)[row] = 1.0;
+
+        rowF_.clear();
+        denseRows_.clear();
+        const double *pc = column(col);
+        for (std::size_t r = 0; r < m_; ++r) {
+            const double f = pc[r];
+            if (r == row || f == 0.0)
                 continue;
-            double *t = &t_(r, 0);
-            const double f = t[col];
-            if (f == 0.0)
-                continue;
-            if (std::isfinite(f)) {
-                for (std::size_t c : nz_)
-                    t[c] -= f * prow[c];
-            } else {
-                for (std::size_t c = 0; c <= n_; ++c)
-                    t[c] -= f * prow[c];
-            }
-            t[col] = 0.0;
+            if (std::isfinite(f))
+                rowF_.push_back({r, f});
+            else
+                denseRows_.push_back({r, f});
         }
+        if (!denseRows_.empty())
+            for (std::size_t c = nStruct_; c < n_; ++c)
+                materialise(c);
+
+        const bool sweep = 4 * rowF_.size() >= m_;
+        if (sweep) {
+            fcol_.assign(m_, 0.0);
+            for (const RowF &e : rowF_)
+                fcol_[e.row] = e.f;
+        }
+        for (std::size_t c : nz_) {
+            if (c == col)
+                continue;
+            double *t = column(c);
+            const double p = t[row];
+            if (sweep && std::isfinite(p)) {
+                const double *f = fcol_.data();
+                for (std::size_t r = 0; r < m_; ++r)
+                    t[r] -= f[r] * p;
+            } else {
+                for (const RowF &e : rowF_)
+                    t[e.row] -= e.f * p;
+            }
+        }
+        for (const RowF &e : denseRows_)
+            for (std::size_t c = 0; c <= n_; ++c)
+                if (c != col)
+                    column(c)[e.row] -= e.f * column(c)[row];
+        // The objective row takes the sparse update only. Its factor
+        // is finite in iterate(), where the entering column's reduced
+        // cost is below a finite -price_tol; after the phase-1
+        // drive-out pivots phase 2 overwrites the whole row.
+        const double fobj = obj_[col];
+        if (fobj != 0.0) {
+            for (std::size_t c : nz_)
+                obj_[c] -= fobj * column(c)[row];
+            obj_[col] = 0.0;
+        }
+        double *t = column(col);
+        for (const RowF &e : rowF_)
+            t[e.row] = 0.0;
+        for (const RowF &e : denseRows_)
+            t[e.row] = 0.0;
         basis_[row] = col;
         return true;
+    }
+
+    /**
+     * Turn the objective row into reduced costs of the basis: for
+     * each row r in ascending order whose basic column's objective
+     * cell f is nonzero, subtract f times row r from the objective
+     * row. Done column by column: every cell gets the same
+     * subtractions in the same row order, and row r's f is read once
+     * rows 0..r-1 have been applied to its basic column's cell. A
+     * subtraction of f * 0.0 with finite f is skipped; it could only
+     * change the sign of a zero.
+     */
+    void
+    priceOut()
+    {
+        rowF_.clear();
+        anyNonFinite_ = false;
+        std::fill(fpos_.begin(), fpos_.end(), kImplicit);
+        std::fill(from_.begin(), from_.end(), 0);
+        for (std::size_t r = 0; r < m_; ++r) {
+            const std::size_t b = basis_[r];
+            subtractRows(b, 0);
+            from_[b] = rowF_.size();
+            const double f = obj_[b];
+            if (f != 0.0) {
+                fpos_[r] = rowF_.size();
+                rowF_.push_back({r, f});
+                anyNonFinite_ = anyNonFinite_ || !std::isfinite(f);
+            }
+        }
+        for (std::size_t c = 0; c <= n_; ++c)
+            subtractRows(c, from_[c]);
     }
 
     /** @return true if every RHS and objective cell is finite. */
     bool
     finite() const
     {
-        for (std::size_t r = 0; r <= m_; ++r)
-            if (!std::isfinite(t_(r, n_)))
+        const double *rhs = column(n_);
+        for (std::size_t r = 0; r < m_; ++r)
+            if (!std::isfinite(rhs[r]))
                 return false;
         for (std::size_t c = 0; c <= n_; ++c)
-            if (!std::isfinite(t_(m_, c)))
+            if (!std::isfinite(obj_[c]))
                 return false;
         return true;
     }
 
   private:
+    /** No index: the off_ of a column without storage, an unused
+     *  owned_ slot, the fpos_ of a row priceOut() skips. */
+    static constexpr std::size_t kImplicit = SIZE_MAX;
+
+    /** A row of the current elimination and its factor. */
+    struct RowF
+    {
+        std::size_t row;
+        double f;
+    };
+
+    /** Append zeroed storage for column c. */
+    void
+    store(std::size_t c)
+    {
+        off_[c] = cells_.size();
+        cells_.resize(cells_.size() + m_, 0.0);
+        live_.push_back(c);
+    }
+
+    /** Apply rowF_[from..] of priceOut() to objective cell c. */
+    void
+    subtractRows(std::size_t c, std::size_t from)
+    {
+        double &o = obj_[c];
+        if (off_[c] == kImplicit && !anyNonFinite_) {
+            // Only the owning row's cell is nonzero.
+            const std::size_t i = fpos_[unitRow_[c - nStruct_]];
+            if (i != kImplicit && i >= from)
+                o -= rowF_[i].f * unitVal_[c - nStruct_];
+            return;
+        }
+        for (std::size_t i = from; i < rowF_.size(); ++i) {
+            const double x = at(rowF_[i].row, c);
+            if (x != 0.0 || !std::isfinite(rowF_[i].f))
+                o -= rowF_[i].f * x;
+        }
+    }
+
     std::size_t m_;
     std::size_t n_;
-    Matrix<double> t_;
+    std::size_t nStruct_;
+    /** Start of each column in cells_, or kImplicit. */
+    std::vector<std::size_t> off_;
+    std::vector<double> cells_;
+    /** Columns with storage, in the order they got it. */
+    std::vector<std::size_t> live_;
+    /** Owning row and unit value of each non-structural column. */
+    std::vector<std::size_t> unitRow_;
+    std::vector<double> unitVal_;
+    /** The (at most two) unit columns each row owns, or kImplicit. */
+    std::vector<std::size_t> owned_;
+    std::vector<double> obj_;
     std::vector<std::size_t> basis_;
     /** Nonzero columns of the last normalised pivot row. */
     std::vector<std::size_t> nz_;
+    /** (row, f) pairs of the current pivot or priceOut(); a pivot
+     *  keeps the rows with non-finite f (dense sweep) apart. */
+    std::vector<RowF> rowF_;
+    std::vector<RowF> denseRows_;
+    /** The f of rowF_ by row, 0.0 elsewhere: full-column passes. */
+    std::vector<double> fcol_;
+    /** priceOut() scratch: rowF_ index of each row, first rowF_
+     *  entry still to apply to each column. */
+    std::vector<std::size_t> fpos_;
+    std::vector<std::size_t> from_;
+    bool anyNonFinite_ = false;
 };
 
 /**
@@ -258,14 +450,17 @@ iterate(Tableau &tab, const std::vector<bool> &allowedCols,
 
         // Ratio test: pick leaving row. Entries below the column's
         // scaled tolerance are elimination noise, not pivots.
+        tab.materialise(enter);
         const double col_tol =
             eps * std::max(1.0, tab.columnScale(enter));
+        const double *col = tab.column(enter);
+        const double *rhs = tab.column(tab.n());
         std::size_t leave = tab.m();
         double best_ratio = std::numeric_limits<double>::infinity();
         for (std::size_t r = 0; r < tab.m(); ++r) {
-            const double a = tab.at(r, enter);
+            const double a = col[r];
             if (a > col_tol) {
-                const double ratio = tab.rhs(r) / a;
+                const double ratio = rhs[r] / a;
                 if (ratio < best_ratio - eps ||
                     (ratio < best_ratio + eps &&
                      (leave == tab.m() ||
@@ -340,45 +535,32 @@ solveDense(const Problem &p, const SolveOptions &opts)
     }
 
     const std::size_t n_total = n_struct + n_slack + n_art;
-    Tableau tab(m, n_total);
+    Tableau tab(m, n_total, n_struct);
 
     // Fill constraint rows.
     std::size_t slack_col = n_struct;
     std::size_t art_col = n_struct + n_slack;
-    std::vector<std::size_t> art_cols;
     std::vector<double> art_scales; // owning row's |rhs|
-    art_cols.reserve(n_art);
     art_scales.reserve(n_art);
     for (std::size_t i = 0; i < m; ++i) {
         const Constraint &c = p.constraints()[i];
         const RowPlan &pl = plan[i];
-        const double row_mag = std::abs(c.rhs);
         for (const auto &[idx, coeff] : c.terms)
-            tab.at(i, idx) += pl.sign * coeff;
+            tab.column(idx)[i] += pl.sign * coeff;
         tab.rhs(i) = pl.sign * c.rhs;
 
-        switch (pl.rel) {
-          case Relation::LessEq:
-            tab.at(i, slack_col) = 1.0;
-            tab.setBasis(i, slack_col);
+        if (pl.rel != Relation::Equal) {
+            tab.setUnit(i, slack_col,
+                        pl.rel == Relation::LessEq ? 1.0 : -1.0);
+            if (pl.rel == Relation::LessEq)
+                tab.setBasis(i, slack_col);
             ++slack_col;
-            break;
-          case Relation::GreaterEq:
-            tab.at(i, slack_col) = -1.0;
-            ++slack_col;
-            tab.at(i, art_col) = 1.0;
+        }
+        if (pl.rel != Relation::LessEq) {
+            tab.setUnit(i, art_col, 1.0);
             tab.setBasis(i, art_col);
-            art_cols.push_back(art_col);
-            art_scales.push_back(row_mag);
+            art_scales.push_back(std::abs(c.rhs));
             ++art_col;
-            break;
-          case Relation::Equal:
-            tab.at(i, art_col) = 1.0;
-            tab.setBasis(i, art_col);
-            art_cols.push_back(art_col);
-            art_scales.push_back(row_mag);
-            ++art_col;
-            break;
         }
     }
 
@@ -392,18 +574,12 @@ solveDense(const Problem &p, const SolveOptions &opts)
     bool bland = false;
 
     // Phase 1: minimize sum of artificials (skip if none).
+    const std::size_t first_art = n_struct + n_slack;
     if (n_art > 0) {
-        for (std::size_t c : art_cols)
+        for (std::size_t c = first_art; c < n_total; ++c)
             tab.obj(c) = 1.0;
         // Make reduced costs consistent with the artificial basis.
-        for (std::size_t r = 0; r < m; ++r) {
-            const std::size_t b = tab.basis(r);
-            if (tab.obj(b) != 0.0) {
-                const double f = tab.obj(b);
-                for (std::size_t c = 0; c <= n_total; ++c)
-                    tab.obj(c) -= f * tab.at(r, c);
-            }
-        }
+        tab.priceOut();
 
         Status st = iterate(tab, allowed, opts, budget, bland,
                             sol.pivots);
@@ -421,10 +597,10 @@ solveDense(const Problem &p, const SolveOptions &opts)
         // checking basic ones covers the phase-1 objective.
         for (std::size_t r = 0; r < m; ++r) {
             const std::size_t b = tab.basis(r);
-            if (b < n_struct + n_slack)
+            if (b < first_art)
                 continue;
             const double value = tab.rhs(r);
-            const double scale = art_scales[b - n_struct - n_slack];
+            const double scale = art_scales[b - first_art];
             if (value > opts.feasTol *
                             std::max(scale, opts.feasFloor)) {
                 sol.status = Status::Infeasible;
@@ -434,15 +610,11 @@ solveDense(const Problem &p, const SolveOptions &opts)
 
         // Drive any artificial still in the basis out (degenerate).
         for (std::size_t r = 0; r < m; ++r) {
-            const std::size_t b = tab.basis(r);
-            const bool is_art =
-                std::find(art_cols.begin(), art_cols.end(), b) !=
-                art_cols.end();
-            if (!is_art)
+            if (tab.basis(r) < first_art)
                 continue;
             std::size_t piv = n_total;
             double piv_tol = eps;
-            for (std::size_t c = 0; c < n_struct + n_slack; ++c) {
+            for (std::size_t c = 0; c < first_art; ++c) {
                 const double tol =
                     eps * std::max(1.0, tab.columnScale(c));
                 if (std::abs(tab.at(r, c)) > tol) {
@@ -461,7 +633,7 @@ solveDense(const Problem &p, const SolveOptions &opts)
         }
 
         // Forbid artificials from re-entering.
-        for (std::size_t c : art_cols)
+        for (std::size_t c = first_art; c < n_total; ++c)
             allowed[c] = false;
     }
 
@@ -470,14 +642,7 @@ solveDense(const Problem &p, const SolveOptions &opts)
         tab.obj(c) = 0.0;
     for (std::size_t c = 0; c < n_struct; ++c)
         tab.obj(c) = p.costs()[c];
-    for (std::size_t r = 0; r < m; ++r) {
-        const std::size_t b = tab.basis(r);
-        if (tab.obj(b) != 0.0) {
-            const double f = tab.obj(b);
-            for (std::size_t c = 0; c <= n_total; ++c)
-                tab.obj(c) -= f * tab.at(r, c);
-        }
-    }
+    tab.priceOut();
 
     Status st = iterate(tab, allowed, opts, budget, bland,
                         sol.pivots);
@@ -505,20 +670,8 @@ solveDense(const Problem &p, const SolveOptions &opts)
         return sol;
 
     // Export the optimal basis symbolically so a re-solve can warm
-    // start from it. Columns map back to their owning row via the
-    // construction order above (slacks then artificials, both in
-    // row order).
-    std::vector<std::size_t> owner_row(n_total, 0);
-    {
-        std::size_t sc = n_struct;
-        std::size_t ac = n_struct + n_slack;
-        for (std::size_t i = 0; i < m; ++i) {
-            if (plan[i].rel != Relation::Equal)
-                owner_row[sc++] = i;
-            if (plan[i].rel != Relation::LessEq)
-                owner_row[ac++] = i;
-        }
-    }
+    // start from it: slack and artificial columns map back to the row
+    // that owns them.
     sol.basis.rows.resize(m);
     sol.basis.structurals = n_struct;
     for (std::size_t r = 0; r < m; ++r) {
@@ -527,12 +680,10 @@ solveDense(const Problem &p, const SolveOptions &opts)
         if (b < n_struct) {
             e.kind = Basis::Kind::Structural;
             e.index = static_cast<std::uint32_t>(b);
-        } else if (b < n_struct + n_slack) {
-            e.kind = Basis::Kind::Slack;
-            e.index = static_cast<std::uint32_t>(owner_row[b]);
         } else {
-            e.kind = Basis::Kind::Artificial;
-            e.index = static_cast<std::uint32_t>(owner_row[b]);
+            e.kind = b < first_art ? Basis::Kind::Slack
+                                   : Basis::Kind::Artificial;
+            e.index = static_cast<std::uint32_t>(tab.owner(b));
         }
     }
     return sol;

@@ -576,12 +576,13 @@ class SolutionHash
     std::uint64_t h_ = 14695981039346656037ull;
 };
 
-/** The LPs of tests/corpus/lp/compile_lps.txt, in file order. */
+/** The LPs of tests/corpus/lp/<file>, in file order. */
 std::vector<Problem>
-compileCorpus()
+readLpCorpus(const std::string &file)
 {
-    std::ifstream in(SRSIM_LP_CORPUS);
-    EXPECT_TRUE(in.good()) << "cannot open " << SRSIM_LP_CORPUS;
+    const std::string path = std::string(SRSIM_LP_CORPUS_DIR) + "/" + file;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
     std::vector<Problem> out;
     std::string line;
     while (std::getline(in, line)) {
@@ -615,7 +616,7 @@ compileCorpus()
 // that moves them changes what a solve returns.
 TEST(LpBitIdentity, CompileCorpus)
 {
-    const std::vector<Problem> corpus = compileCorpus();
+    const std::vector<Problem> corpus = readLpCorpus("compile_lps.txt");
     ASSERT_EQ(corpus.size(), 190u);
     SolutionHash dense, revised;
     for (const Problem &p : corpus) {
@@ -670,6 +671,119 @@ TEST(LpBitIdentity, RandomLps)
     }
     EXPECT_EQ(dense.value(), 13690814745492123713ull);
     EXPECT_EQ(revised.value(), 5724829782722757178ull);
+}
+
+/**
+ * The allocation LPs of 1024 or more rows that one fig_sweep sweep
+ * solves (tests/corpus/lp/large_lps.txt): the sizes where most of the
+ * cold tableau's time goes, and the only corpus LPs whose tableau
+ * spans many pages.
+ */
+TEST(LpBitIdentity, LargeAllocationLps)
+{
+    const std::vector<Problem> corpus = readLpCorpus("large_lps.txt");
+    ASSERT_EQ(corpus.size(), 3u);
+    SolutionHash dense, revised;
+    for (const Problem &p : corpus) {
+        EXPECT_GE(p.numConstraints(), 1024u);
+        dense.add(lp::solveDense(p));
+        revised.add(lp::solveRevised(p));
+    }
+    EXPECT_EQ(dense.value(), 15195967532470013799ull);
+    EXPECT_EQ(revised.value(), 5091094182946019904ull);
+}
+
+/**
+ * A small LP whose coefficients, right-hand sides and costs span up
+ * to 2^+-1023 (about 1e+-308): a per-LP exponent span from 0 (unit
+ * scale) to the whole double range, random relations, zero
+ * right-hand sides and duplicate terms that can sum to infinity.
+ * With `nonFinite`, one value in 20 is +-inf or NaN instead.
+ */
+Problem
+illScaledLp(Rng &rng, bool nonFinite = false)
+{
+    const int span = rng.uniformInt(0, 1023);
+    const auto value = [&] {
+        if (nonFinite && rng.chance(0.05)) {
+            const int k = rng.uniformInt(0, 2);
+            return k == 2 ? std::nan("")
+                          : (k == 0 ? 1.0 : -1.0) * HUGE_VAL;
+        }
+        const double m = rng.uniformReal(1.0, 2.0);
+        const double v = std::ldexp(m, rng.uniformInt(-span, span));
+        return rng.chance(0.5) ? v : -v;
+    };
+    const int nvar = rng.uniformInt(3, 6);
+    const int ncon = rng.uniformInt(2, 5);
+    Problem p;
+    for (int i = 0; i < nvar; ++i)
+        p.addVariable(rng.chance(0.3) ? 0.0 : value());
+    for (int c = 0; c < ncon; ++c) {
+        lp::Constraint con;
+        for (int k = rng.uniformInt(1, nvar); k > 0; --k)
+            con.terms.emplace_back(rng.index(std::size_t(nvar)), value());
+        const int rel = rng.uniformInt(0, 2);
+        con.rel = rel == 0   ? Relation::LessEq
+                  : rel == 1 ? Relation::GreaterEq
+                             : Relation::Equal;
+        con.rhs = rng.chance(0.2) ? 0.0 : value();
+        p.addConstraint(std::move(con));
+    }
+    return p;
+}
+
+/**
+ * Ill-scaled LPs reach what the well-scaled corpora never do: the
+ * Unbounded verdict, non-finite tableau cells and the finite() check
+ * that turns them into NumericalFailure. The hash pins every output
+ * bit and the counts pin the verdict mix.
+ */
+TEST(LpBitIdentity, IllScaledLps)
+{
+    SolutionHash dense, revised;
+    std::size_t verdicts[5] = {};
+    for (int seed = 1; seed <= 2000; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed));
+        const Problem p = illScaledLp(rng);
+        const Solution s = lp::solveDense(p);
+        ++verdicts[static_cast<int>(s.status)];
+        dense.add(s);
+        revised.add(lp::solveRevised(p));
+    }
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Optimal)], 515u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Infeasible)], 1155u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Unbounded)], 325u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::IterationLimit)], 0u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::NumericalFailure)], 5u);
+    EXPECT_EQ(dense.value(), 11562990070081142415ull);
+    EXPECT_EQ(revised.value(), 3491383788543020635ull);
+}
+
+/**
+ * Infinite and NaN input values put non-finite cells into the
+ * tableau: pivot-column cells that force the dense elimination
+ * sweep, a non-finite objective factor, and reduced-cost set-up
+ * over non-finite basic cells. The dense solver must still return
+ * the same bits. The revised solver is not run: the oracle compares
+ * verdicts on finite inputs only.
+ */
+TEST(LpBitIdentity, NonFiniteInputLps)
+{
+    SolutionHash dense;
+    std::size_t verdicts[5] = {};
+    for (int seed = 1; seed <= 2000; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed));
+        const Solution s = lp::solveDense(illScaledLp(rng, true));
+        ++verdicts[static_cast<int>(s.status)];
+        dense.add(s);
+    }
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Optimal)], 484u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Infeasible)], 1074u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::Unbounded)], 208u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::IterationLimit)], 0u);
+    EXPECT_EQ(verdicts[static_cast<int>(Status::NumericalFailure)], 234u);
+    EXPECT_EQ(dense.value(), 16299918959533170330ull);
 }
 
 } // namespace

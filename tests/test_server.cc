@@ -937,11 +937,25 @@ TEST(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
         std::ofstream out(dir + "/wal.jsonl", std::ios::app);
         out << "{\"seq\":3,\"op\":\"re"; // torn mid-record
     }
+    std::string intact;
+    for (const server::WalRecord &rec :
+         server::readWal(dir + "/wal.jsonl").records)
+        intact += server::encodeWalRecord(rec) + '\n';
     DaemonConfig cfg;
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_TRUE(d2.recovery().walTornTail);
     EXPECT_EQ(d2.recovery().walRecords, 2u);
+    // Recovery replaced the log by exactly its intact prefix, through
+    // a temporary file it renamed away.
+    {
+        std::ifstream in(dir + "/wal.jsonl", std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        EXPECT_EQ(bytes.str(), intact);
+    }
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     EXPECT_EQ(publishedBytes(d2, "a"),
               directBytes("a admit x0 probe verify 256\n"));
     // The rewritten log must append cleanly from here.
