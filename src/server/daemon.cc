@@ -565,6 +565,11 @@ SchedulingDaemon::runRecovery()
     std::string err;
     if (!wal_.open(wpath, std::max(lastWalSeq, fromSeq) + 1, &err))
         fatal(err);
+    // The open may have created the log and the rename above may
+    // have retired the old one; neither directory entry survives a
+    // crash until the directory itself is synced.
+    if (!syncDirectory(cfg_.stateDir, &err))
+        fatal(err);
 }
 
 // -- Control plane ------------------------------------------------

@@ -172,7 +172,8 @@ writeFileDurably(const std::string &path, const std::string &bytes,
     return true;
 }
 
-/** fsync directory `dir`, making a rename inside it durable. */
+} // namespace
+
 bool
 syncDirectory(const std::string &dir, std::string *err)
 {
@@ -195,8 +196,6 @@ syncDirectory(const std::string &dir, std::string *err)
     }
     return true;
 }
-
-} // namespace
 
 std::string
 encodeSnapshot(const DaemonSnapshot &snap)

@@ -110,6 +110,12 @@ bool decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
                     std::string *err);
 
 /**
+ * fsync directory `dir`, making a file created or renamed inside it
+ * durable. @return false + *err when the open, fsync or close fails.
+ */
+bool syncDirectory(const std::string &dir, std::string *err);
+
+/**
  * Replace `path` with `bytes` atomically and durably: write
  * `path`.tmp in full (retrying EINTR), fsync it, rename it over
  * `path`, fsync the directory. @return false + *err when any step

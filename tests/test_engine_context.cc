@@ -4,7 +4,8 @@
  * once, never per-solve), child-context overrides (solver kind,
  * warm-start policy, thread budget, seed), and the write-through
  * metrics contract that keeps parent aggregates exact while each
- * child registry shows only its own activity.
+ * child registry shows only its own activity, and the warm-start
+ * pivot saving a Sparse child buys over a Dense one.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,13 @@
 #include <cstdlib>
 
 #include "engine/context.hh"
+#include "mapping/allocation.hh"
 #include "metrics/metrics.hh"
+#include "online/service.hh"
 #include "solver/lp.hh"
+#include "tfg/dvb.hh"
+#include "tfg/timing.hh"
+#include "topology/factory.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
@@ -204,6 +210,106 @@ TEST(EngineContextChild, SolveHonorsTheContextKind)
         ASSERT_EQ(s.status, lp::Status::Optimal);
         EXPECT_NEAR(s.objective, 4.0, 1e-9);
     }
+}
+
+/**
+ * Simplex pivots of 10 admit/remove rounds of one probe->verify
+ * message on the fig10 setup (DVB, 4x4x4 torus, B = 128, period
+ * 2.4 tau_c) with the schedule cache off, so every request re-solves
+ * its dirty subsets. Counted from after start(): the initial full
+ * compile is cold under both kinds.
+ */
+std::uint64_t
+churnPivots(const EngineContext &ctx)
+{
+    DvbParams dvb;
+    TaskFlowGraph g = buildDvbTfg(dvb);
+    TimingModel tm;
+    tm.apSpeed = dvb.matchedApSpeed();
+    tm.bandwidth = 128.0;
+    const auto topo = makeTopology("torus:4,4,4");
+    const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
+
+    online::OnlineSchedulerConfig scfg;
+    scfg.compiler.ctx = &ctx;
+    scfg.compiler.inputPeriod = 2.4 * tm.tauC(g);
+    scfg.cacheCapacity = 0;
+    online::OnlineScheduler svc(g, makeTopology("torus:4,4,4"), alloc,
+                                tm, scfg);
+    EXPECT_TRUE(svc.start().accepted);
+
+    metrics::Counter &pivots =
+        ctx.metricsRegistry().counter("solver.pivots");
+    const std::uint64_t base = pivots.value();
+    online::AdmitSpec spec;
+    spec.name = "hot";
+    spec.src = "probe";
+    spec.dst = "verify";
+    spec.bytes = 256.0;
+    for (int r = 0; r < 10; ++r) {
+        EXPECT_TRUE(svc.admit(spec).accepted) << "round " << r;
+        EXPECT_TRUE(svc.remove(spec.name).accepted) << "round " << r;
+    }
+    return pivots.value() - base;
+}
+
+/**
+ * Simplex pivots of branch and bound over 6 integral covering
+ * programs: min ~sum x_i with x_i + x_(i+1) >= r around an odd
+ * cycle, whose LP relaxations are fractional (x = r/2), so the
+ * trees are deep.
+ */
+std::uint64_t
+mipPivots(const EngineContext &ctx)
+{
+    for (int k = 0; k < 6; ++k) {
+        lp::Problem p;
+        const int n = 7 + (k % 3);
+        for (int i = 0; i < n; ++i) {
+            p.addVariable(1.0 + 0.01 * i);
+            p.markInteger(static_cast<std::size_t>(i));
+        }
+        for (int i = 0; i < n; ++i) {
+            const auto a = static_cast<std::size_t>(i);
+            const auto b = static_cast<std::size_t>((i + 1) % n);
+            p.addConstraint({{a, 1.0}, {b, 1.0}},
+                            lp::Relation::GreaterEq,
+                            3.0 + 0.5 * (k % 4));
+        }
+        lp::MipOptions mo;
+        mo.lp = ctx.solveOptions();
+        EXPECT_EQ(lp::solveMip(p, mo).status, lp::Status::Optimal)
+            << "instance " << k;
+    }
+    return ctx.metricsRegistry().counter("solver.pivots").value();
+}
+
+// DESIGN.md §13's warm-start claim, gated: re-solves that resume
+// from a cached or parent basis take at most half the pivots of the
+// cold dense re-solves of the same request stream.
+TEST(EngineContextChild, WarmStartsHalveChurnAndMipPivots)
+{
+    EngineContext &root = EngineContext::processDefault();
+    const auto child = [&](const char *name, lp::SolverKind kind) {
+        ChildOptions co;
+        co.name = name;
+        co.solverKind = kind;
+        return root.createChild(co);
+    };
+
+    const std::uint64_t churnCold =
+        churnPivots(*child("churn.dense", lp::SolverKind::Dense));
+    const std::uint64_t churnWarm =
+        churnPivots(*child("churn.sparse", lp::SolverKind::Sparse));
+    EXPECT_GT(churnWarm, 0u);
+    EXPECT_LE(churnWarm * 2, churnCold);
+
+    const std::uint64_t mipCold =
+        mipPivots(*child("mip.dense", lp::SolverKind::Dense));
+    const std::uint64_t mipWarm =
+        mipPivots(*child("mip.sparse", lp::SolverKind::Sparse));
+    EXPECT_GT(mipWarm, 0u);
+    EXPECT_LE(mipWarm * 2, mipCold);
 }
 
 } // namespace

@@ -21,8 +21,8 @@
 #
 # tools/ (the CLI entry points) is outside the scan: that is the one
 # layer allowed to resolve the environment and process singletons —
-# exactly once, into the root context. Tests and benches are also
-# out of scope; the suites that exercise the singletons (test_trace,
+# exactly once, into the root context. tests/ and bench/ are outside
+# this scan too: the suites that exercise the singletons (test_trace,
 # test_metrics) must keep reaching them directly. Run from the
 # repository root; exits non-zero with one line per violation.
 #
@@ -32,8 +32,14 @@
 # script parser and header, and the lp solver-stats block with its
 # reset and counter accessors. The daemon protocol is the one request
 # grammar; the solver.* counters in each context's metrics registry
-# are the only solver totals. (The names are spelled in split
-# literals below so this file does not match itself.)
+# are the only solver totals.
+#
+# Likewise for the retired second benchmark harness: the four bench/
+# perf tools that duplicated perfbench/ and the google-benchmark
+# dependency (its header, and its find_package in any
+# CMakeLists.txt). `perfbench/run.py` is the one way to measure
+# performance. (All names are spelled in split literals below so
+# this file does not match itself.)
 
 set -u
 
@@ -75,9 +81,24 @@ if [ -s "$out" ]; then
     status=1
 fi
 
+benches="emit_bench""_json|micro""_perf|server""_throughput"
+benches="$benches|solver""_bench|benchmark/bench""mark[.]h"
+benches="$benches|find_package[(]bench""mark"
+{
+    grep -rn -E --exclude=CMakeLists.txt "$benches" src tools bench tests
+    find . -name CMakeLists.txt -not -path './build*' \
+        -not -path './.bench_build/*' -exec grep -Hn -E "$benches" {} +
+} >"$out" || true
+if [ -s "$out" ]; then
+    echo "check_globals: retired bench/ perf tools or google-benchmark" \
+         "dependency (measure with perfbench/run.py):"
+    sed 's/^/  /' "$out"
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
-    echo "check_globals: FAILED — route these through an" \
-         "engine::EngineContext (see DESIGN.md §14)." >&2
+    echo "check_globals: FAILED — see the lines above (the" \
+         "EngineContext rule is DESIGN.md §14)." >&2
 else
     echo "check_globals: ok"
 fi
