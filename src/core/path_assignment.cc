@@ -194,6 +194,7 @@ LinkLoad::Rank
 LinkLoad::measure(LinkId l, std::size_t msg, int before,
                   int after) const
 {
+    ++measures_;
     const std::vector<Time> &dur = ua_.durations_;
 
     // Demand: a fresh sum in message index order, with the moved
@@ -325,7 +326,8 @@ LinkLoad::report() const
 }
 
 UtilizationReport
-LinkLoad::score(std::size_t msg, const Path &path) const
+LinkLoad::score(std::size_t msg, const Path &path,
+                ScoreCutoff cut) const
 {
     const Path &old = *paths_[msg];
     // Tag the move's links with their crossings before and after.
@@ -347,17 +349,37 @@ LinkLoad::score(std::size_t msg, const Path &path) const
     for (LinkId l : path.links)
         ++tag(l).after;
 
+    const auto reportOf = [](const Rank &r) {
+        return UtilizationReport{r.value, r.position};
+    };
+    // The best link the move leaves alone keeps its stored rank. The
+    // peak is at least that, so a rank that reaches the cut-off
+    // settles the score before any link is measured.
     const Rank *best = nullptr;
+    for (const Rank &r : ranked_) {
+        if (probe_[static_cast<std::size_t>(r.position.link)].mark !=
+            mark_) {
+            best = &r;
+            break;
+        }
+    }
+    if (best != nullptr && cut.reachedBy(best->value))
+        return reportOf(*best);
+
+    // The links of the move, one at a time, until one reaches the
+    // cut-off: those of the new path first, since a rejected move
+    // mostly adds load to a link that is already hot.
+    const bool keyed = !cut.inclusive;
     Rank touched;
     const auto consider = [&](LinkId l) {
         const std::size_t lj = static_cast<std::size_t>(l);
         Probe &p = probe_[lj];
         if (p.seen)
-            return;
+            return false;
         p.seen = true;
         if (p.after == 0 &&
             msgsOf(l).size() == static_cast<std::size_t>(p.before))
-            return; // the move empties the link
+            return false; // the move empties the link
         Rank r;
         if (p.before == p.after) {
             r = rank_[row_[lj]];
@@ -372,37 +394,31 @@ LinkLoad::score(std::size_t msg, const Path &path) const
             }
             r = p.memo;
         }
+        if (cut.reachedBy(r.value)) {
+            touched = r;
+            best = &touched;
+            return true;
+        }
         // The key only breaks ties, so a link that cannot tie or
         // beat the best so far needs none.
         if (!(r.value > 0.0) ||
             (best != nullptr && r.value < best->value))
-            return;
-        r.key = keyOf(l, msg, path, p.after);
+            return false;
+        if (keyed)
+            r.key = keyOf(l, msg, path, p.after);
         if (best == nullptr || r < *best) {
             touched = r;
             best = &touched;
         }
+        return false;
     };
-    for (LinkId l : old.links)
-        consider(l);
     for (LinkId l : path.links)
-        consider(l);
-    // The best link the move leaves alone.
-    for (const Rank &r : ranked_) {
-        if (probe_[static_cast<std::size_t>(r.position.link)].mark ==
-            mark_)
-            continue;
-        if (best == nullptr || r < *best)
-            best = &r;
-        break;
-    }
-
-    UtilizationReport rep;
-    if (best != nullptr) {
-        rep.peak = best->value;
-        rep.position = best->position;
-    }
-    return rep;
+        if (consider(l))
+            return reportOf(*best);
+    for (LinkId l : old.links)
+        if (consider(l))
+            return reportOf(*best);
+    return best != nullptr ? reportOf(*best) : UtilizationReport{};
 }
 
 void
@@ -479,6 +495,7 @@ struct WalkResult
     UtilizationReport report;
     int reroutes = 0;
     std::uint64_t evals = 0;
+    std::uint64_t linkMeasures = 0;
 };
 
 /**
@@ -540,8 +557,15 @@ improveWalk(const std::vector<std::vector<Path>> &candidates,
             for (std::size_t c = 0; c < candidates[i].size(); ++c) {
                 if (candidates[i][c] == load.path(i))
                     continue;
+                // Past the first reposition candidate only a lower
+                // peak counts; before it, any peak up to the current
+                // one may, and then its position matters.
+                const ScoreCutoff cut =
+                    repos_msg != SIZE_MAX
+                        ? ScoreCutoff{best_new_peak - 1e-12, true}
+                        : ScoreCutoff{cur_rep.peak + 1e-12, false};
                 const UtilizationReport rep =
-                    load.score(i, candidates[i][c]);
+                    load.score(i, candidates[i][c], cut);
                 ++w.evals;
                 if (rep.peak < best_new_peak - 1e-12) {
                     best_new_peak = rep.peak;
@@ -572,6 +596,7 @@ improveWalk(const std::vector<std::vector<Path>> &candidates,
 
     w.assignment = load.assignment();
     w.report = cur_rep;
+    w.linkMeasures = load.measures();
     return w;
 }
 
@@ -598,6 +623,13 @@ assignPaths(const TaskFlowGraph &g, const Topology &topo,
             const IntervalSet &intervals,
             const AssignPathsOptions &opts)
 {
+    if (opts.maxRestarts < 0) {
+        AssignPathsResult bad;
+        bad.ok = false;
+        bad.error = "maxRestarts must not be negative (got " +
+                    std::to_string(opts.maxRestarts) + ")";
+        return bad;
+    }
     const auto candidates = candidatePaths(g, topo, alloc, bounds,
                                            opts.maxPathsPerMessage);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -637,6 +669,7 @@ assignPaths(const TaskFlowGraph &g, const Topology &topo,
     for (std::size_t r = 0; r < walks; ++r) {
         result.reroutes += results[r].reroutes;
         result.evals += results[r].evals;
+        result.linkMeasures += results[r].linkMeasures;
         if (results[r].report.peak <
             results[best].report.peak - 1e-12)
             best = r;
@@ -689,7 +722,10 @@ greedyRouteMessages(const TaskFlowGraph &g, const Topology &topo,
         const std::size_t i = indices[j];
         double best_peak = 0.0;
         for (std::size_t c = 0; c < cands[j].size(); ++c) {
-            const double peak = load.score(i, cands[j][c]).peak;
+            const ScoreCutoff cut =
+                c == 0 ? ScoreCutoff{}
+                       : ScoreCutoff{best_peak - 1e-12, true};
+            const double peak = load.score(i, cands[j][c], cut).peak;
             if (c == 0 || peak < best_peak - 1e-12) {
                 chosen[j] = c;
                 best_peak = peak;

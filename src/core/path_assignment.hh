@@ -23,6 +23,7 @@
 #define SRSIM_CORE_PATH_ASSIGNMENT_HH_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,27 @@ struct UtilizationReport
 };
 
 class LinkLoad;
+
+/**
+ * The peak value from which a caller discards a score: peaks
+ * `>= value` when `inclusive`, else peaks `> value`. The default
+ * discards nothing.
+ *
+ * An inclusive cut-off is for a caller that compares peak values
+ * only: LinkLoad::score() then skips the first-touch keys, so among
+ * tied links the position it reports is any one of them.
+ */
+struct ScoreCutoff
+{
+    double value = std::numeric_limits<double>::infinity();
+    bool inclusive = false;
+
+    bool
+    reachedBy(double peak) const
+    {
+        return inclusive ? peak >= value : peak > value;
+    }
+};
 
 /**
  * Computes link/spot utilizations of path assignments against fixed
@@ -161,9 +183,12 @@ class LinkLoad
     /**
      * Peak utilization the assignment would have with message `msg`
      * on `path` instead; the state is left unchanged. Equal to
-     * analyze() of the moved assignment.
+     * analyze() of the moved assignment, except that once some link
+     * reaches the cut-off, score() returns that link's value: the
+     * full peak, their maximum, reaches it too.
      */
-    UtilizationReport score(std::size_t msg, const Path &path) const;
+    UtilizationReport score(std::size_t msg, const Path &path,
+                            ScoreCutoff cut = {}) const;
 
     /** Move message `msg` onto `path`. */
     void apply(std::size_t msg, const Path &path);
@@ -179,6 +204,9 @@ class LinkLoad
      * path crosses j twice appears twice. Empty for kInvalidLink.
      */
     const std::vector<std::size_t> &messagesOn(LinkId j) const;
+
+    /** Link measurements taken so far, memo hits excluded. */
+    std::uint64_t measures() const { return measures_; }
 
   private:
     /** A link's local best and first-touch key. */
@@ -261,6 +289,7 @@ class LinkLoad
     /** Bumped by score(); tags the links of the move it scores. */
     mutable std::uint64_t mark_ = 0;
     mutable std::vector<Probe> probe_;
+    mutable std::uint64_t measures_ = 0;
 };
 
 namespace engine {
@@ -278,7 +307,8 @@ struct AssignPathsOptions
      * deriveSeed(seed, r)) and run concurrently on the context's
      * ThreadPool; the best result (lowest peak U, ties to the
      * lowest restart index) wins, so the outcome is identical for
-     * every thread count including the serial pool.
+     * every thread count including the serial pool. Must not be
+     * negative.
      */
     int maxRestarts = 12;
     /** Safety bound on reroutes within one improvement sweep. */
@@ -302,10 +332,13 @@ struct AssignPathsResult
     int reroutes = 0;
     /** Candidate paths scored, summed over every walk. */
     std::uint64_t evals = 0;
+    /** Link measurements (LinkLoad::measures()), summed likewise. */
+    std::uint64_t linkMeasures = 0;
     /**
      * False when no candidate path exists for some message (e.g. a
-     * disconnected fabric); the assignment is then unusable and
-     * `error` / `failedMessage` describe the offender.
+     * disconnected fabric) or maxRestarts is negative; the
+     * assignment is then unusable and `error` / `failedMessage`
+     * describe the offender.
      */
     bool ok = true;
     MessageId failedMessage = kInvalidMessage;

@@ -91,6 +91,7 @@ attemptCompile(const TaskFlowGraph &g, const Topology &topo,
         res.assignRestarts = ap.restarts;
         res.assignReroutes = ap.reroutes;
         res.assignEvals = ap.evals;
+        res.assignLinkMeasures = ap.linkMeasures;
     } else {
         trace::ScopedPhase phase("lsd_to_msd", tracer, reg);
         res.paths = lsdToMsdAssignment(g, topo, alloc, res.bounds);
@@ -204,6 +205,12 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
              "input period must be positive");
         return res;
     }
+    if (cfg.assign.maxRestarts < 0 || cfg.feedbackRounds < 0) {
+        fail(res, SrFailureStage::InvalidInput,
+             "restart and feedback round counts must not be "
+             "negative");
+        return res;
+    }
     if (alloc.numTasks() != g.numTasks() || !alloc.complete()) {
         fail(res, SrFailureStage::InvalidInput,
              "task allocation is incomplete or sized for a "
@@ -309,6 +316,8 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
         mreg.counter("sr.assign_reroutes")
             .add(static_cast<std::uint64_t>(res.assignReroutes));
         mreg.counter("sr.assign_evals").add(res.assignEvals);
+        mreg.counter("sr.assign_link_measures")
+            .add(res.assignLinkMeasures);
         mreg.counter("sr.feedback_rounds")
             .add(static_cast<std::uint64_t>(res.feedbackRoundsUsed));
     }

@@ -60,7 +60,7 @@ struct SrCompilerConfig
      * extension): when message-interval allocation or interval
      * scheduling fails, retry with a re-randomized path assignment
      * up to this many extra rounds. 0 = the paper's one-way
-     * pipeline.
+     * pipeline; negative is invalid input.
      */
     int feedbackRounds = 0;
     /**
@@ -91,6 +91,8 @@ struct SrCompileResult
     int assignReroutes = 0;
     /** Candidate paths AssignPaths scored. */
     std::uint64_t assignEvals = 0;
+    /** Link measurements AssignPaths took to score them. */
+    std::uint64_t assignLinkMeasures = 0;
     /** Feedback rounds actually consumed (0 = first try). */
     int feedbackRoundsUsed = 0;
     std::size_t numSubsets = 0;
@@ -104,7 +106,8 @@ struct SrCompileResult
  * Compile a scheduled-routing communication schedule.
  *
  * Never aborts on user input: invalid problems (incomplete
- * allocation, period below tau_c, off-grid message times) come back
+ * allocation, period below tau_c, off-grid message times, negative
+ * restart or feedback counts) come back
  * as stage InvalidInput, solver breakdowns as stage Numerical, and
  * ordinary infeasibility with the stage that proved it — always
  * with a populated CompileError.

@@ -148,8 +148,15 @@ readFuzzCase(std::istream &is)
             ls >> v;
             c.useAssignPaths = v != 0;
         } else if (key == "assign-seed") ls >> c.assignSeed;
-        else if (key == "max-restarts") ls >> c.maxRestarts;
-        else if (key == "feedback-rounds") ls >> c.feedbackRounds;
+        else if (key == "max-restarts") {
+            ls >> c.maxRestarts;
+            if (!ls.fail() && c.maxRestarts < 0)
+                fatal("max-restarts must not be negative");
+        } else if (key == "feedback-rounds") {
+            ls >> c.feedbackRounds;
+            if (!ls.fail() && c.feedbackRounds < 0)
+                fatal("feedback-rounds must not be negative");
+        }
         else if (key == "faults") {
             ls >> c.faultSpec;
             if (c.faultSpec.empty())

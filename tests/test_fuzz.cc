@@ -62,6 +62,23 @@ TEST(FuzzCaseTest, MalformedDocumentIsFatal)
     EXPECT_THROW(fuzz::readFuzzCase(is), FatalError);
 }
 
+TEST(FuzzCaseTest, NegativeRestartOrFeedbackCountIsFatal)
+{
+    for (const char *line : {"max-restarts -1", "feedback-rounds -1"}) {
+        const fuzz::FuzzCase c = fuzz::generateCase(42);
+        std::ostringstream os;
+        fuzz::writeFuzzCase(os, c);
+        std::string text = os.str();
+        const std::string key =
+            std::string(line).substr(0, std::string(line).find(' '));
+        const std::size_t at = text.find(key + " ");
+        ASSERT_NE(at, std::string::npos) << key;
+        text.replace(at, text.find('\n', at) - at, line);
+        std::istringstream is(text);
+        EXPECT_THROW(fuzz::readFuzzCase(is), FatalError) << line;
+    }
+}
+
 TEST(FuzzGeneratorTest, SameSeedSameCase)
 {
     const fuzz::FuzzCase a = fuzz::generateCase(7);

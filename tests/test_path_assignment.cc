@@ -509,84 +509,199 @@ randomBounds(Rng &rng, std::size_t nmsg)
     return tb;
 }
 
-TEST(LinkLoadProperty, DeltaScoreEqualsFullAnalysis)
+/**
+ * A random LinkLoad setting: a small fabric, random bounds, up to six
+ * minimal candidate paths per message (some crossing a link twice), a
+ * random start among them, then derated links and maybe a failed one
+ * (U = inf).
+ */
+struct RandomLoadCase
 {
-    const char *const fabrics[] = {"torus:3,3", "torus:4,4", "cube:3",
-                                   "cube:4",    "ghc:3,3",   "mesh:3,3"};
-    const auto expectSame = [](const UtilizationReport &got,
-                               const UtilizationReport &want,
-                               const std::string &what) {
-        EXPECT_EQ(std::memcmp(&got.peak, &want.peak, sizeof(double)), 0)
-            << what << ": peak " << got.peak << " vs " << want.peak;
+    std::unique_ptr<Topology> topo;
+    TimeBounds tb;
+    IntervalSet ivs;
+    std::vector<std::vector<Path>> cands;
+    PathAssignment pa;
+
+    explicit RandomLoadCase(Rng &rng)
+        : topo(makeTopology(pickFabric(rng))),
+          tb(randomBounds(rng, static_cast<std::size_t>(
+                                   rng.uniformInt(4, 16)))),
+          ivs(tb), cands(tb.messages.size())
+    {
+        const auto nodes =
+            static_cast<std::size_t>(topo->numNodes());
+        for (std::vector<Path> &c : cands) {
+            const NodeId s = static_cast<NodeId>(rng.index(nodes));
+            NodeId d = s;
+            while (d == s)
+                d = static_cast<NodeId>(rng.index(nodes));
+            c = topo->minimalPaths(s, d, 6);
+            if (rng.chance(0.2)) {
+                Path twice = c.front();
+                twice.links.push_back(twice.links.front());
+                c.push_back(twice);
+            }
+            pa.paths.push_back(c[rng.index(c.size())]);
+        }
+        const auto links = static_cast<std::size_t>(topo->numLinks());
+        for (int f = rng.uniformInt(0, 3); f > 0; --f)
+            topo->derateLink(static_cast<LinkId>(rng.index(links)),
+                             rng.chance(0.5) ? 0.5 : 0.25);
+        if (rng.chance(0.3))
+            topo->failLink(static_cast<LinkId>(rng.index(links)));
+    }
+
+    static const char *
+    pickFabric(Rng &rng)
+    {
+        static const char *const fabrics[] = {
+            "torus:3,3", "torus:4,4", "cube:3",
+            "cube:4",    "ghc:3,3",   "mesh:3,3"};
+        return fabrics[rng.index(6)];
+    }
+};
+
+void
+expectSameReport(const UtilizationReport &got,
+                 const UtilizationReport &want, const std::string &what,
+                 bool withPosition = true)
+{
+    EXPECT_EQ(std::memcmp(&got.peak, &want.peak, sizeof(double)), 0)
+        << what << ": peak " << got.peak << " vs " << want.peak;
+    if (withPosition) {
         EXPECT_TRUE(got.position == want.position)
             << what << ": position link " << got.position.link
             << " vs " << want.position.link;
-    };
+    }
+}
 
+TEST(LinkLoadProperty, DeltaScoreEqualsFullAnalysis)
+{
     for (int walk = 0; walk < 200; ++walk) {
         Rng rng(static_cast<std::uint64_t>(walk) + 1);
-        const auto topo = makeTopology(fabrics[rng.index(6)]);
-        const std::size_t nmsg =
-            static_cast<std::size_t>(rng.uniformInt(4, 16));
-        const TimeBounds tb = randomBounds(rng, nmsg);
-        const IntervalSet ivs(tb);
-
-        // Candidates on the healthy fabric; some repeat a link.
-        std::vector<std::vector<Path>> cands(nmsg);
-        PathAssignment pa;
-        for (std::size_t i = 0; i < nmsg; ++i) {
-            const NodeId s = static_cast<NodeId>(
-                rng.index(static_cast<std::size_t>(topo->numNodes())));
-            NodeId d = s;
-            while (d == s)
-                d = static_cast<NodeId>(rng.index(
-                    static_cast<std::size_t>(topo->numNodes())));
-            cands[i] = topo->minimalPaths(s, d, 6);
-            if (rng.chance(0.2)) {
-                Path twice = cands[i].front();
-                twice.links.push_back(twice.links.front());
-                cands[i].push_back(twice);
-            }
-            pa.paths.push_back(cands[i][rng.index(cands[i].size())]);
-        }
-        // Then degrade: derated links and failed links (U = inf).
-        for (int f = rng.uniformInt(0, 3); f > 0; --f)
-            topo->derateLink(static_cast<LinkId>(rng.index(
-                                 static_cast<std::size_t>(
-                                     topo->numLinks()))),
-                             rng.chance(0.5) ? 0.5 : 0.25);
-        if (rng.chance(0.3))
-            topo->failLink(static_cast<LinkId>(
-                rng.index(static_cast<std::size_t>(topo->numLinks()))));
-
-        const UtilizationAnalyzer ua(tb, ivs, *topo);
-        LinkLoad load(ua, pa);
+        const RandomLoadCase rc(rng);
+        const std::size_t nmsg = rc.cands.size();
+        const UtilizationAnalyzer ua(rc.tb, rc.ivs, *rc.topo);
+        LinkLoad load(ua, rc.pa);
         const std::string tag = "walk " + std::to_string(walk);
-        expectSame(load.report(), referencePeak(pa, tb, ivs, *topo),
-                   tag + " start");
+        expectSameReport(load.report(),
+                         referencePeak(rc.pa, rc.tb, rc.ivs, *rc.topo),
+                         tag + " start");
         for (int step = 0; step < 30; ++step) {
             // Score every candidate of one message, as a walk does,
             // then maybe move it.
             const std::size_t i = rng.index(nmsg);
             const std::string what =
                 tag + " step " + std::to_string(step);
-            for (const Path &path : cands[i]) {
+            for (const Path &path : rc.cands[i]) {
                 PathAssignment moved = load.assignment();
                 moved.paths[i] = path;
-                expectSame(load.score(i, path),
-                           referencePeak(moved, tb, ivs, *topo),
-                           what + " score");
+                expectSameReport(
+                    load.score(i, path),
+                    referencePeak(moved, rc.tb, rc.ivs, *rc.topo),
+                    what + " score");
             }
             if (rng.chance(0.5)) {
-                load.apply(i, cands[i][rng.index(cands[i].size())]);
-                expectSame(load.report(),
-                           referencePeak(load.assignment(), tb, ivs,
-                                         *topo),
-                           what + " apply");
+                const auto &cs = rc.cands[i];
+                load.apply(i, cs[rng.index(cs.size())]);
+                expectSameReport(load.report(),
+                                 referencePeak(load.assignment(),
+                                               rc.tb, rc.ivs,
+                                               *rc.topo),
+                                 what + " apply");
             }
         }
         if (::testing::Test::HasFailure())
             return;
+    }
+}
+
+/**
+ * A cut-off score decides every cut-off like the full score: when the
+ * full peak stays below the cut-off, the scores are equal (the
+ * position too, unless the cut-off is inclusive); when it reaches the
+ * cut-off, the returned peak reaches it as well and is the value of
+ * some link, so at most the full peak. Cut-offs sit at the current
+ * and the moved peak, 1e-12 either side of them, at the moved
+ * utilization of the links near the move, and at +-inf.
+ */
+TEST(LinkLoadProperty, CutoffScoreDecidesLikeFullScore)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (int walk = 0; walk < 200; ++walk) {
+        Rng rng(static_cast<std::uint64_t>(walk) + 1);
+        const RandomLoadCase rc(rng);
+        const std::size_t nmsg = rc.cands.size();
+        const UtilizationAnalyzer ua(rc.tb, rc.ivs, *rc.topo);
+        LinkLoad load(ua, rc.pa);
+        const std::string tag = "walk " + std::to_string(walk);
+        for (int step = 0; step < 30; ++step) {
+            const std::size_t i = rng.index(nmsg);
+            const UtilizationReport cur = load.report();
+            for (const Path &path : rc.cands[i]) {
+                PathAssignment moved = load.assignment();
+                moved.paths[i] = path;
+                const UtilizationReport full =
+                    referencePeak(moved, rc.tb, rc.ivs, *rc.topo);
+                std::vector<double> values = {
+                    cur.peak,  cur.peak - 1e-12,  cur.peak + 1e-12,
+                    full.peak, full.peak - 1e-12, full.peak + 1e-12,
+                    -inf,      inf};
+                for (const Path *p : {&load.path(i), &path})
+                    for (LinkId l : p->links)
+                        values.push_back(ua.linkUtilization(moved, l));
+                if (cur.position.link != kInvalidLink)
+                    values.push_back(
+                        ua.linkUtilization(moved, cur.position.link));
+                for (double v : values) {
+                    for (bool inclusive : {false, true}) {
+                        const auto reaches = [&](double peak) {
+                            return inclusive ? peak >= v : peak > v;
+                        };
+                        const UtilizationReport got =
+                            load.score(i, path, {v, inclusive});
+                        const std::string what =
+                            tag + " step " + std::to_string(step) +
+                            " cut " + (inclusive ? ">= " : "> ") +
+                            std::to_string(v);
+                        if (!reaches(full.peak)) {
+                            expectSameReport(got, full, what,
+                                             !inclusive);
+                            continue;
+                        }
+                        EXPECT_TRUE(reaches(got.peak))
+                            << what << ": peak " << got.peak
+                            << " full " << full.peak;
+                        EXPECT_LE(got.peak, full.peak) << what;
+                    }
+                }
+            }
+            if (rng.chance(0.5)) {
+                const auto &cs = rc.cands[i];
+                load.apply(i, cs[rng.index(cs.size())]);
+            }
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+/** A negative restart count is an error, not an empty reduction. */
+TEST(AssignPathsTest, NegativeRestartsAreAnError)
+{
+    ParallelFixture f;
+    const TimeBounds tb =
+        computeTimeBounds(f.g, f.alloc, f.tm, 40.0);
+    const IntervalSet ivs(tb);
+    for (int restarts : {-1, -2}) {
+        AssignPathsOptions opts;
+        opts.maxRestarts = restarts;
+        const AssignPathsResult r =
+            assignPaths(f.g, f.cube, f.alloc, tb, ivs, opts);
+        EXPECT_FALSE(r.ok) << restarts;
+        EXPECT_FALSE(r.error.empty()) << restarts;
+        EXPECT_TRUE(r.assignment.paths.empty()) << restarts;
     }
 }
 

@@ -112,7 +112,10 @@ TEST(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
  * assignEvals (the sr.assign_evals counter) counts the candidate
  * paths AssignPaths scored. On the Fig. 9 8x8 torus at B = 128 and
  * 3.2 tau_c that is 89667, one per candidate every walk considers,
- * at any thread count.
+ * at any thread count. assignLinkMeasures (sr.assign_link_measures)
+ * counts the link measurements that scoring and applying them took;
+ * the cut-off score leaves most candidates decided before their
+ * links are all measured.
  */
 TEST(SrCompilerTest, AssignEvalsCountsCandidateScores)
 {
@@ -136,6 +139,35 @@ TEST(SrCompilerTest, AssignEvalsCountsCandidateScores)
             compileScheduledRouting(g, torus, alloc, tm, cfg);
         ASSERT_TRUE(r.feasible) << r.detail;
         EXPECT_EQ(r.assignEvals, 89667u) << threads << " threads";
+        EXPECT_EQ(r.assignLinkMeasures, 31707u) << threads << " threads";
+    }
+}
+
+/**
+ * Negative restart or feedback counts are invalid input, not an
+ * empty set of walks or a compile that never runs.
+ */
+TEST(SrCompilerTest, NegativeRestartOrFeedbackCountIsInvalidInput)
+{
+    const TaskFlowGraph g = buildDvbTfg({});
+    const Torus torus({4, 4, 4});
+    DvbParams dp;
+    TimingModel tm;
+    tm.apSpeed = dp.matchedApSpeed();
+    tm.bandwidth = 128.0;
+    const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
+    for (int which = 0; which < 2; ++which) {
+        SrCompilerConfig cfg;
+        cfg.inputPeriod = 3.0 * tm.tauC(g);
+        if (which == 0)
+            cfg.assign.maxRestarts = -1;
+        else
+            cfg.feedbackRounds = -1;
+        const SrCompileResult r =
+            compileScheduledRouting(g, torus, alloc, tm, cfg);
+        EXPECT_FALSE(r.feasible) << which;
+        EXPECT_EQ(r.stage, SrFailureStage::InvalidInput) << which;
+        EXPECT_FALSE(r.detail.empty()) << which;
     }
 }
 
