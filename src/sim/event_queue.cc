@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace srsim {
@@ -9,7 +11,8 @@ EventQueue::schedule(Time t, Callback fn)
 {
     SRSIM_ASSERT(timeGe(t, now_), "scheduling into the past: ", t,
                  " < ", now_);
-    events_.push(Event{t, seq_++, std::move(fn)});
+    events_.push_back(Event{t, seq_++, std::move(fn)});
+    std::push_heap(events_.begin(), events_.end(), Later{});
 }
 
 bool
@@ -17,11 +20,11 @@ EventQueue::runNext()
 {
     if (events_.empty())
         return false;
-    // priority_queue::top() is const; move out via const_cast is the
-    // standard idiom but copying the callback keeps this simple and
-    // safe.
-    Event ev = events_.top();
-    events_.pop();
+    // The same pop as std::priority_queue, but the event is moved
+    // out instead of copied (top() is const).
+    std::pop_heap(events_.begin(), events_.end(), Later{});
+    Event ev = std::move(events_.back());
+    events_.pop_back();
     now_ = ev.time;
     ev.fn();
     return true;
@@ -40,7 +43,7 @@ std::uint64_t
 EventQueue::runUntil(Time until)
 {
     std::uint64_t n = 0;
-    while (!events_.empty() && timeLe(events_.top().time, until)) {
+    while (!events_.empty() && timeLe(events_.front().time, until)) {
         runNext();
         ++n;
     }

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/time.hh"
@@ -74,7 +73,8 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, Later> events_;
+    /** A binary heap under Later: the earliest event at front(). */
+    std::vector<Event> events_;
     Time now_ = 0.0;
     std::uint64_t seq_ = 0;
 };

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "metrics/metrics.hh"
+#include "solver/elim.hh"
 #include "solver/revised.hh"
 #include "util/logging.hh"
 
@@ -186,7 +187,9 @@ class Tableau
      * such column is one contiguous pass, `t - f * p` on the rows with
      * f != 0 or, when those are at least a quarter of the rows and p
      * is finite, on every row with f = 0.0 for the others (t - 0.0 * p
-     * is again t up to the sign of a zero). A constraint row with a
+     * is again t up to the sign of a zero), the latter through the
+     * SIMD kernel of solver/elim.hh, which rounds the product and the
+     * difference apart as the scalar loop does. A constraint row with a
      * non-finite f gets the dense sweep over every column instead,
      * where f * 0.0 is NaN.
      *
@@ -239,9 +242,7 @@ class Tableau
             double *t = column(c);
             const double p = t[row];
             if (sweep && std::isfinite(p)) {
-                const double *f = fcol_.data();
-                for (std::size_t r = 0; r < m_; ++r)
-                    t[r] -= f[r] * p;
+                eliminate(t, fcol_.data(), p, m_);
             } else {
                 for (const RowF &e : rowF_)
                     t[e.row] -= e.f * p;
@@ -394,7 +395,7 @@ class Tableau
  * test, so the iteration behaves identically on an instance and on a
  * copy of it multiplied through by 1e8.
  *
- * @param allowedCols columns eligible to enter the basis
+ * @param allowed the columns [0, allowed) are eligible to enter
  * @param bland sticky anti-cycling state, owned by the caller so the
  *        switch to Bland's rule survives across phases; once set it
  *        is never cleared (reverting to Dantzig could re-enter the
@@ -402,9 +403,8 @@ class Tableau
  * @return resulting status (Optimal means reduced costs >= 0)
  */
 Status
-iterate(Tableau &tab, const std::vector<bool> &allowedCols,
-        const SolveOptions &opts, std::size_t &iterationBudget,
-        bool &bland, std::size_t &pivots)
+iterate(Tableau &tab, std::size_t allowed, const SolveOptions &opts,
+        std::size_t &iterationBudget, bool &bland, std::size_t &pivots)
 {
     const double eps = opts.eps;
     double last_obj = tab.objValue();
@@ -421,29 +421,31 @@ iterate(Tableau &tab, const std::vector<bool> &allowedCols,
             return Status::IterationLimit;
 
         // Pricing: pick entering column with negative reduced cost.
-        // The threshold is relative to the objective row's magnitude.
+        // The threshold is relative to the objective row's magnitude,
+        // found in the same pass as Dantzig's column: the first one
+        // of least reduced cost, entering if that is below it.
         double obj_scale = 1.0;
-        for (std::size_t c = 0; c < tab.n(); ++c)
-            if (allowedCols[c])
-                obj_scale = std::max(obj_scale,
-                                     std::abs(tab.obj(c)));
+        double min_cost = std::numeric_limits<double>::infinity();
+        std::size_t argmin = tab.n();
+        for (std::size_t c = 0; c < allowed; ++c) {
+            const double o = tab.obj(c);
+            obj_scale = std::max(obj_scale, std::abs(o));
+            if (o < min_cost) {
+                min_cost = o;
+                argmin = c;
+            }
+        }
         const double price_tol = eps * obj_scale;
         std::size_t enter = tab.n();
         if (bland) {
-            for (std::size_t c = 0; c < tab.n(); ++c) {
-                if (allowedCols[c] && tab.obj(c) < -price_tol) {
+            for (std::size_t c = 0; c < allowed; ++c) {
+                if (tab.obj(c) < -price_tol) {
                     enter = c;
                     break;
                 }
             }
-        } else {
-            double best = -price_tol;
-            for (std::size_t c = 0; c < tab.n(); ++c) {
-                if (allowedCols[c] && tab.obj(c) < best) {
-                    best = tab.obj(c);
-                    enter = c;
-                }
-            }
+        } else if (min_cost < -price_tol) {
+            enter = argmin;
         }
         if (enter == tab.n())
             return Status::Optimal;
@@ -565,7 +567,6 @@ solveDense(const Problem &p, const SolveOptions &opts)
     }
 
     std::size_t budget = opts.maxIterations;
-    std::vector<bool> allowed(n_total, true);
 
     Solution sol;
     // Anti-cycling state is per-solve, not per-phase: once phase 1
@@ -581,7 +582,7 @@ solveDense(const Problem &p, const SolveOptions &opts)
         // Make reduced costs consistent with the artificial basis.
         tab.priceOut();
 
-        Status st = iterate(tab, allowed, opts, budget, bland,
+        Status st = iterate(tab, n_total, opts, budget, bland,
                             sol.pivots);
         if (st == Status::IterationLimit ||
             st == Status::NumericalFailure) {
@@ -631,10 +632,6 @@ solveDense(const Problem &p, const SolveOptions &opts)
             // If no pivot exists the row is all-zero (redundant);
             // the artificial stays basic at value zero, harmless.
         }
-
-        // Forbid artificials from re-entering.
-        for (std::size_t c = first_art; c < n_total; ++c)
-            allowed[c] = false;
     }
 
     // Phase 2: install the true objective as reduced costs.
@@ -644,7 +641,8 @@ solveDense(const Problem &p, const SolveOptions &opts)
         tab.obj(c) = p.costs()[c];
     tab.priceOut();
 
-    Status st = iterate(tab, allowed, opts, budget, bland,
+    // Artificials never re-enter: phase 2 prices [0, first_art).
+    Status st = iterate(tab, first_art, opts, budget, bland,
                         sol.pivots);
     if (st != Status::Optimal) {
         sol.status = st;

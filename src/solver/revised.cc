@@ -390,16 +390,20 @@ class Rev
         for (std::size_t k = 0; k < m_; ++k)
             binv_[k * m_ + leave] *= inv;
         xB_[leave] *= inv;
-        for (std::size_t r = 0; r < m_; ++r) {
-            if (r == leave)
-                continue;
-            const double f = w[r];
-            if (f == 0.0)
-                continue;
-            for (std::size_t k = 0; k < m_; ++k)
-                binv_[k * m_ + r] -= f * binv_[k * m_ + leave];
-            xB_[r] -= f * xB_[leave];
+        // Column by column over the rows with f != 0: each cell gets
+        // one update, and B^-1 is walked in storage order.
+        elimRows_.clear();
+        for (std::size_t r = 0; r < m_; ++r)
+            if (r != leave && w[r] != 0.0)
+                elimRows_.push_back(r);
+        for (std::size_t k = 0; k < m_; ++k) {
+            double *col = binv_.data() + k * m_;
+            const double lv = col[leave];
+            for (std::size_t r : elimRows_)
+                col[r] -= w[r] * lv;
         }
+        for (std::size_t r : elimRows_)
+            xB_[r] -= w[r] * xB_[leave];
         if (d_enter != 0.0)
             objv_ -= d_enter * xB_[leave];
         isBasic_[basis_[leave]] = false;
@@ -844,6 +848,7 @@ class Rev
     const SolveOptions &opts_;
     std::size_t m_;
     std::vector<double> binv_;       // column-major B^-1
+    std::vector<std::size_t> elimRows_; // rows pivot() eliminates
     std::vector<std::size_t> basis_; // basic column per row
     std::vector<bool> isBasic_;
     std::vector<double> xB_;

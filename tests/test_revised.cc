@@ -38,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/metrics.hh"
+#include "solver/elim.hh"
 #include "solver/lp.hh"
 #include "solver/revised.hh"
 #include "util/rng.hh"
@@ -542,6 +543,86 @@ TEST(RevisedKind, DenseKindIgnoresWarmStart)
 }
 
 /**
+ * A double for the elimination kernel tests: +-0, subnormals, +-inf,
+ * NaNs with random payloads (quiet and signalling), and normal
+ * values with magnitudes up to 2^+-1023.
+ */
+double
+kernelValue(Rng &rng)
+{
+    const double sign = rng.chance(0.5) ? -1.0 : 1.0;
+    switch (rng.uniformInt(0, 9)) {
+      case 0:
+        return sign * 0.0;
+      case 1:
+        return sign * std::ldexp(rng.uniformReal(0.0, 1.0), -1022);
+      case 2:
+        return sign * HUGE_VAL;
+      case 3: {
+        const std::uint64_t payload = rng.engine()() & ((1ull << 51) - 1);
+        const std::uint64_t bits = 0x7ff0000000000000ull |
+                                   (rng.chance(0.5) ? 1ull << 51 : 0) |
+                                   (payload | 1) |
+                                   (sign < 0 ? 1ull << 63 : 0);
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        return v;
+      }
+      default:
+        return sign * std::ldexp(rng.uniformReal(1.0, 2.0),
+                                 rng.uniformInt(-1023, 1023));
+    }
+}
+
+/**
+ * Every elimination kernel variant this CPU runs computes
+ * t[r] -= f[r] * p with the same bits as the scalar loop, tails and
+ * unaligned columns included. p is never NaN: the tableau calls the
+ * kernel with a finite p only, and a NaN times a NaN may keep either
+ * payload depending on operand order.
+ */
+TEST(ElimKernel, VariantsMatchScalarLoopBitForBit)
+{
+    const auto variants = lp::elimVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.back().name, "scalar");
+    EXPECT_TRUE(variants.back().supported);
+    EXPECT_TRUE(lp::elimKernel().supported);
+    Rng rng(20);
+    std::size_t checked = 0;
+    for (const lp::ElimVariant &v : variants) {
+        if (!v.supported)
+            continue;
+        SCOPED_TRACE(v.name);
+        for (std::size_t n : {0, 1, 7, 8, 9, 1599}) {
+            for (int trial = 0; trial < 20; ++trial) {
+                // One spare cell in front, so odd trials start the
+                // columns off their allocation's alignment.
+                std::vector<double> t0(n + 1), f(n + 1);
+                for (std::size_t r = 0; r <= n; ++r) {
+                    t0[r] = kernelValue(rng);
+                    f[r] = kernelValue(rng);
+                }
+                double p = kernelValue(rng);
+                if (std::isnan(p))
+                    p = rng.uniformReal(-2.0, 2.0);
+                const std::size_t at = trial % 2;
+                std::vector<double> want = t0, got = t0;
+                for (std::size_t r = 0; r < n; ++r)
+                    want[at + r] -= f[at + r] * p;
+                v.fn(got.data() + at, f.data() + at, p, n);
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(double)),
+                          0)
+                    << "n " << n << " trial " << trial;
+            }
+        }
+        ++checked;
+    }
+    EXPECT_GE(checked, 1u);
+}
+
+/**
  * FNV-1a over the raw bytes of solves: status, pivot count,
  * objective and values, bit for bit (a -0.0 hashes apart from 0.0).
  */
@@ -784,6 +865,27 @@ TEST(LpBitIdentity, NonFiniteInputLps)
     EXPECT_EQ(verdicts[static_cast<int>(Status::IterationLimit)], 0u);
     EXPECT_EQ(verdicts[static_cast<int>(Status::NumericalFailure)], 234u);
     EXPECT_EQ(dense.value(), 16299918959533170330ull);
+}
+
+/**
+ * A RHS cell that overflows on an eliminated row of a later pivot,
+ * while the pivot row and every objective cell stay finite, is a
+ * numerical failure: a finiteness check after a pivot that looked
+ * only at the pivot row or the objective would miss it. min -x - 2y
+ * with y <= 1, x <= 1e301 and -1e8 x <= 1e300: y enters first, then
+ * x at 1e301 sends the third row's RHS to 1e300 + 1e309 = inf.
+ */
+TEST(LpBitIdentity, RhsOverflowOnLaterPivotIsNumericalFailure)
+{
+    Problem p;
+    const auto x = p.addVariable(-1.0, "x");
+    const auto y = p.addVariable(-2.0, "y");
+    p.addConstraint({{y, 1.0}}, Relation::LessEq, 1.0);
+    p.addConstraint({{x, 1.0}}, Relation::LessEq, 1e301);
+    p.addConstraint({{x, -1e8}}, Relation::LessEq, 1e300);
+    const Solution s = lp::solveDense(p);
+    EXPECT_EQ(s.status, Status::NumericalFailure);
+    EXPECT_EQ(s.pivots, 1u);
 }
 
 } // namespace
