@@ -181,6 +181,14 @@ attemptCompile(const TaskFlowGraph &g, const Topology &topo,
 
 } // namespace
 
+Time
+effectivePacketTime(const SrCompilerConfig &cfg, const TimingModel &tm)
+{
+    if (cfg.scheduling.packetTime > 0.0)
+        return cfg.scheduling.packetTime;
+    return tm.packetBytes > 0.0 ? tm.packetTime() : 0.0;
+}
+
 SrCompileResult
 compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
                         const TaskAllocation &alloc,
@@ -267,8 +275,10 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
         eff.scheduling.ctx = cfg.ctx;
     if (eff.assign.ctx == nullptr)
         eff.assign.ctx = cfg.ctx;
-    if (eff.scheduling.packetTime <= 0.0 && tm.packetBytes > 0.0)
-        eff.scheduling.packetTime = tm.packetTime();
+    // Without packetBytes the configured value stays as given (a
+    // non-positive one still means "no packet grid").
+    if (tm.packetBytes > 0.0)
+        eff.scheduling.packetTime = effectivePacketTime(eff, tm);
     if (eff.scheduling.packetTime > 0.0) {
         for (const MessageBounds &b : res.bounds.messages) {
             const double q = b.duration / eff.scheduling.packetTime;

@@ -103,6 +103,15 @@ struct SrCompileResult
 };
 
 /**
+ * The Sec. 4.1 packet time (slot quantum) a compile under `cfg`
+ * uses: the configured scheduling.packetTime when positive, else the
+ * timing model's packet time when TimingModel::packetBytes is set,
+ * else 0 (no packet grid).
+ */
+Time effectivePacketTime(const SrCompilerConfig &cfg,
+                         const TimingModel &tm);
+
+/**
  * Compile a scheduled-routing communication schedule.
  *
  * Never aborts on user input: invalid problems (incomplete

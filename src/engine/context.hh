@@ -62,7 +62,11 @@ struct SolverConfig
 {
     /** Solver stack for every lp::solve issued under this context. */
     lp::SolverKind kind = lp::SolverKind::Sparse;
-    /** Whether re-solves may warm-start from cached bases. */
+    /**
+     * Whether re-solves may warm-start from cached bases: an
+     * OnlineScheduler built under this context keeps a basis cache
+     * only when set.
+     */
     bool warmStart = true;
 };
 

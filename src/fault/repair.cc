@@ -26,25 +26,6 @@ messageFateName(MessageFate f)
 
 namespace {
 
-/** Does the path cross a link below full capacity? */
-bool
-crossesDerated(const Topology &topo, const Path &p)
-{
-    for (LinkId l : p.links)
-        if (topo.linkCapacity(l) < 1.0)
-            return true;
-    return false;
-}
-
-/** Effective packet time, mirroring the compiler's derivation. */
-Time
-effectivePacketTime(const SrCompilerConfig &cfg, const TimingModel &tm)
-{
-    if (cfg.scheduling.packetTime > 0.0)
-        return cfg.scheduling.packetTime;
-    return tm.packetBytes > 0.0 ? tm.packetTime() : 0.0;
-}
-
 /**
  * Messages that cannot be served at all on the degraded fabric:
  * an endpoint task sits on a dead node, or (for network messages)
@@ -86,14 +67,6 @@ reducedTfg(const TaskFlowGraph &g, const std::vector<MessageId> &drop,
     return out;
 }
 
-void
-bumpCounter(metrics::Registry &reg, const char *name,
-            std::uint64_t n = 1)
-{
-    if (SRSIM_METRICS_ENABLED())
-        reg.counter(name).add(n);
-}
-
 /**
  * The incremental per-subset repair. Returns true when it produced
  * a verified schedule into `res`; false means "fall back to full
@@ -119,7 +92,7 @@ tryIncrementalRepair(const TaskFlowGraph &g, const Topology &topo,
     std::vector<std::size_t> dirty;
     for (std::size_t i = 0; i < bounds.messages.size(); ++i) {
         const Path &p = healthy.paths.pathFor(i);
-        if (!topo.pathAlive(p) || crossesDerated(topo, p))
+        if (!topo.pathAlive(p) || topo.crossesDerated(p))
             dirty.push_back(i);
     }
 
@@ -184,10 +157,10 @@ tryIncrementalRepair(const TaskFlowGraph &g, const Topology &topo,
         res.fates[static_cast<std::size_t>(
             bounds.messages[i].msg)] = MessageFate::Rerouted;
     metrics::Registry &mreg = ectx.metricsRegistry();
-    bumpCounter(mreg, "repair.incremental");
-    bumpCounter(mreg, "repair.subsets_reused",
+    metrics::bump(mreg, "repair.incremental");
+    metrics::bump(mreg, "repair.subsets_reused",
                 static_cast<std::uint64_t>(res.subsetsReused));
-    bumpCounter(mreg, "repair.subsets_resolved",
+    metrics::bump(mreg, "repair.subsets_resolved",
                 static_cast<std::uint64_t>(res.subsetsResolved));
     return true;
 }
@@ -238,7 +211,7 @@ repairSchedule(const TaskFlowGraph &g, const Topology &topo,
     // Full recompilation on the surviving fabric — on a reduced TFG
     // when messages had to be shed — at the original period first,
     // then at stretched periods.
-    bumpCounter(mreg, "repair.full_recompiles");
+    metrics::bump(mreg, "repair.full_recompiles");
     TaskFlowGraph reduced;
     const bool shedding = !res.shedMessages.empty();
     if (shedding)
@@ -312,13 +285,13 @@ repairSchedule(const TaskFlowGraph &g, const Topology &topo,
                 if (res.fates[i] == MessageFate::Survived)
                     res.fates[i] = MessageFate::Degraded;
         }
-        bumpCounter(mreg, "repair.subsets_resolved",
+        metrics::bump(mreg, "repair.subsets_resolved",
                     static_cast<std::uint64_t>(
                         res.subsetsResolved));
         return res;
     }
 
-    bumpCounter(mreg, "repair.failures");
+    metrics::bump(mreg, "repair.failures");
     return res;
 }
 

@@ -217,6 +217,14 @@ class Registry
     std::map<std::string, std::unique_ptr<LinkTimeline>> timelines_;
 };
 
+/** Add n to counter `name` of `reg` when metrics are enabled. */
+inline void
+bump(Registry &reg, const char *name, std::uint64_t n = 1)
+{
+    if (Registry::enabled())
+        reg.counter(name).add(n);
+}
+
 } // namespace metrics
 } // namespace srsim
 

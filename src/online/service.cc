@@ -52,32 +52,6 @@ rejectReasonName(RejectReason r)
 
 namespace {
 
-void
-bump(metrics::Registry &reg, const char *name,
-     std::uint64_t n = 1)
-{
-    if (SRSIM_METRICS_ENABLED())
-        reg.counter(name).add(n);
-}
-
-Time
-effectivePacketTime(const SrCompilerConfig &cfg,
-                    const TimingModel &tm)
-{
-    if (cfg.scheduling.packetTime > 0.0)
-        return cfg.scheduling.packetTime;
-    return tm.packetBytes > 0.0 ? tm.packetTime() : 0.0;
-}
-
-bool
-crossesDerated(const Topology &topo, const Path &p)
-{
-    for (LinkId l : p.links)
-        if (topo.linkCapacity(l) < 1.0)
-            return true;
-    return false;
-}
-
 /**
  * Exact equality: the bounds computation is a deterministic
  * function of (TFG, allocation, timing, period), so a surviving
@@ -146,7 +120,7 @@ OnlineScheduler::OnlineScheduler(TaskFlowGraph g,
                            : cfg_.cacheCapacity,
                        &engine::resolve(cfg_.compiler.ctx)
                             .metricsRegistry())),
-      basisCache_(cfg_.warmStartBasis
+      basisCache_(engine::resolve(cfg_.compiler.ctx).solver().warmStart
                       ? std::make_shared<lp::BasisCache>(
                             &engine::resolve(cfg_.compiler.ctx)
                                  .metricsRegistry())
@@ -181,18 +155,18 @@ OnlineScheduler::finish(RequestResult res, const char *what,
     const engine::EngineContext &ectx =
         engine::resolve(cfg_.compiler.ctx);
     metrics::Registry &reg = ectx.metricsRegistry();
-    bump(reg, "online.requests");
+    metrics::bump(reg, "online.requests");
     if (res.accepted) {
-        bump(reg, "online.subsets_resolved",
+        metrics::bump(reg, "online.subsets_resolved",
              static_cast<std::uint64_t>(res.subsetsResolved));
-        bump(reg, "online.subsets_copied",
+        metrics::bump(reg, "online.subsets_copied",
              static_cast<std::uint64_t>(res.subsetsCopied));
         if (res.usedCache)
-            bump(reg, "online.cache_served");
+            metrics::bump(reg, "online.cache_served");
         if (res.usedIncremental)
-            bump(reg, "online.incremental");
+            metrics::bump(reg, "online.incremental");
     } else {
-        bump(reg, "online.rejected");
+        metrics::bump(reg, "online.rejected");
     }
     if (admission && SRSIM_METRICS_ENABLED())
         reg.histogram("online.admit_latency_us",
@@ -337,7 +311,7 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
     if (cfg_.cacheCapacity > 0) {
         key = canonicalWorkloadKey(g2, *topo_, alloc_, tm_, ccfg);
         if (const auto e = cache_->lookup(key)) {
-            bump(reg, "online.cache_hits");
+            metrics::bump(reg, "online.cache_hits");
             auto next = std::make_shared<PublishedState>();
             next->g = g2;
             next->bounds = std::move(bounds2);
@@ -364,7 +338,7 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
             out.next = std::move(next);
             return out;
         }
-        bump(reg, "online.cache_misses");
+        metrics::bump(reg, "online.cache_misses");
     }
 
     // Incremental path: keep every surviving message's route and
@@ -405,7 +379,7 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
             pa2.paths[i] = prior->omega.paths.pathFor(j);
             priorSegs[i] = prior->omega.segments[j];
             if (!topo_->pathAlive(pa2.paths[i]) ||
-                crossesDerated(*topo_, pa2.paths[i])) {
+                topo_->crossesDerated(pa2.paths[i])) {
                 // Route crosses a failed/derated resource:
                 // reroute it like fault repair would.
                 dirty[i] = 1;
@@ -487,7 +461,7 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
     // rejection classification.
     trace::ScopedPhase phase("online_full_compile", ectx.tracer(),
                              ectx.metricsRegistry());
-    bump(reg, "online.full_compiles");
+    metrics::bump(reg, "online.full_compiles");
     SrCompileResult comp =
         compileScheduledRouting(g2, *topo_, alloc_, tm_, ccfg);
     if (!comp.feasible) {
@@ -692,8 +666,8 @@ OnlineScheduler::admitBatch(const std::vector<AdmitSpec> &specs)
         res.accepted = true;
         metrics::Registry &reg =
             engine::resolve(cfg_.compiler.ctx).metricsRegistry();
-        bump(reg, "online.admitted");
-        bump(reg, "online.messages_admitted",
+        metrics::bump(reg, "online.admitted");
+        metrics::bump(reg, "online.messages_admitted",
              static_cast<std::uint64_t>(specs.size()));
     }
     return finish(res, what, t0, true);
@@ -731,7 +705,7 @@ OnlineScheduler::remove(const std::string &msgName)
     if (out.ok) {
         publish(std::move(out.next), res.period);
         res.accepted = true;
-        bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+        metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
              "online.removed");
     }
     return finish(res, "remove", t0, false);
@@ -762,7 +736,7 @@ OnlineScheduler::updatePeriod(Time period)
         publish(std::move(out.next), period);
         res.accepted = true;
         res.period = period;
-        bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+        metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
              "online.period_updates");
     } else {
         res.period = cfg_.compiler.inputPeriod;
@@ -883,7 +857,7 @@ OnlineScheduler::injectFault(const std::string &spec)
 
     publish(std::move(next), rep.degradedPeriod);
     res.accepted = true;
-    bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+    metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
          "online.faults_injected");
     return finish(res, "fault", t0, false);
 }

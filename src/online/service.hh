@@ -70,15 +70,6 @@ struct OnlineSchedulerConfig
     std::vector<double> stretchFactors = {1.25, 1.5, 2.0, 3.0, 4.0};
     /** Fault-repair policy for InjectFault requests. */
     fault::RepairOptions repair;
-    /**
-     * Warm-start the incremental re-solve LPs from a per-service
-     * basis cache keyed by maximal subset. Hot admission/removal
-     * churn then re-solves recurring subsets in a handful of dual
-     * pivots instead of a cold two-phase solve. Published schedules
-     * are unaffected byte-for-byte: a warm solve that cannot be
-     * completed falls back to the deterministic cold path.
-     */
-    bool warmStartBasis = true;
 };
 
 /** One immutable published snapshot of the service's schedule. */
@@ -171,7 +162,15 @@ class OnlineScheduler
     TimingModel tm_;
     OnlineSchedulerConfig cfg_;
     std::shared_ptr<ScheduleCache> cache_;
-    /** Per-subset LP basis cache for warm-started re-solves. */
+    /**
+     * Per-subset LP basis cache for warm-started re-solves: hot
+     * admission/removal churn re-solves recurring subsets in a
+     * handful of dual pivots. Null when the context's
+     * SolverConfig::warmStart is off. A warm solve that cannot be
+     * completed falls back to the deterministic cold path; one that
+     * completes may end on a different optimal vertex than a cold
+     * solve, and so publish different (equally verified) bytes.
+     */
     std::shared_ptr<lp::BasisCache> basisCache_;
     /** Accumulated static fault specs applied so far (';'-joined). */
     std::string faultSpecAccum_;

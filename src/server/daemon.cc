@@ -20,13 +20,6 @@ namespace server {
 
 namespace {
 
-void
-bump(metrics::Registry &reg, const char *name, std::uint64_t n = 1)
-{
-    if (SRSIM_METRICS_ENABLED())
-        reg.counter(name).add(n);
-}
-
 std::string
 walPath(const std::string &stateDir)
 {
@@ -267,7 +260,8 @@ SchedulingDaemon::writeSnapshotLocked()
     }
 
     std::string path, err;
-    if (!writeSnapshotFile(cfg_.stateDir, snap, &path, &err)) {
+    if (!writeSnapshotFile(cfg_.stateDir, snap, cfg_.syscalls, &path,
+                           &err)) {
         // A failed snapshot costs recovery time, not correctness:
         // the WAL still has everything.
         warn("snapshot failed: ", err);
@@ -275,7 +269,7 @@ SchedulingDaemon::writeSnapshotLocked()
     }
     acceptedSinceSnapshot_ = 0;
     ++snapshots_;
-    bump(root_->metricsRegistry(), "server.snapshots");
+    metrics::bump(root_->metricsRegistry(), "server.snapshots");
 }
 
 // -- Recovery -----------------------------------------------------
@@ -493,7 +487,8 @@ SchedulingDaemon::runRecovery()
         for (const WalRecord &rec : wr.records)
             body << encodeWalRecord(rec) << '\n';
         std::string err;
-        if (!replaceFileDurably(wpath, body.str(), &err))
+        if (!durable::replaceFile(wpath, body.str(), cfg_.syscalls,
+                                  &err))
             fatal("cannot rewrite torn WAL '", wpath, "': ", err);
     }
 
@@ -554,22 +549,19 @@ SchedulingDaemon::runRecovery()
     // tail. Every certified record's effect lives in the restored
     // snapshot, so the stale log is redundant: retire it and let
     // the reopened log start fresh at the snapshot's sequence.
-    if (fromSeq > lastWalSeq &&
-        std::filesystem::exists(wpath)) {
-        std::filesystem::rename(wpath, wpath + ".stale", ec);
-        if (ec)
-            fatal("cannot retire stale WAL '", wpath,
-                  "': ", ec.message());
-    }
-
     std::string err;
-    if (!wal_.open(wpath, std::max(lastWalSeq, fromSeq) + 1, &err))
-        fatal(err);
-    // The open may have created the log and the rename above may
-    // have retired the old one; neither directory entry survives a
-    // crash until the directory itself is synced.
-    if (!syncDirectory(cfg_.stateDir, &err))
-        fatal(err);
+    if (fromSeq > lastWalSeq && std::filesystem::exists(wpath) &&
+        !durable::retireFile(wpath, wpath + ".stale", cfg_.syscalls,
+                             &err))
+        fatal("cannot retire stale WAL '", wpath, "': ", err);
+
+    if (!wal_.open(wpath, std::max(lastWalSeq, fromSeq) + 1,
+                   cfg_.syscalls, &err))
+        fatal("cannot open WAL: ", err);
+    // The open may have created the log, and that directory entry
+    // does not survive a crash until the directory itself is synced.
+    if (!durable::syncDir(cfg_.stateDir, cfg_.syscalls, &err))
+        fatal("cannot sync state dir: ", err);
 }
 
 // -- Control plane ------------------------------------------------
@@ -660,7 +652,7 @@ SchedulingDaemon::open(const SessionConfig &sc)
     if (!configError.empty()) {
         resp.outcome = DaemonOutcome::InvalidConfig;
         resp.detail = configError;
-        bump(reg, "server.rejected");
+        metrics::bump(reg, "server.rejected");
         return resp;
     }
     if (closedOut) {
@@ -668,15 +660,15 @@ SchedulingDaemon::open(const SessionConfig &sc)
         // snapshot has been (or is being) taken without this
         // session, so it must not come alive after it.
         resp.outcome = DaemonOutcome::ShuttingDown;
-        bump(reg, "server.rejected");
+        metrics::bump(reg, "server.rejected");
         return resp;
     }
     resp.result = first;
     if (ok) {
-        bump(reg, "server.opens");
-        bump(reg, "server.accepted");
+        metrics::bump(reg, "server.opens");
+        metrics::bump(reg, "server.accepted");
     } else {
-        bump(reg, "server.rejected");
+        metrics::bump(reg, "server.rejected");
     }
     if (kick) {
         const std::string name = sc.name;
@@ -724,7 +716,7 @@ SchedulingDaemon::close(const std::string &session)
         op.session = session;
         walAppend(op);
     }
-    bump(root_->metricsRegistry(), "server.closes");
+    metrics::bump(root_->metricsRegistry(), "server.closes");
     return resp;
 }
 
@@ -755,7 +747,7 @@ SchedulingDaemon::submit(const std::string &session,
     {
         std::lock_guard<std::mutex> lock(mu_);
         reject.id = job->id = nextId_++;
-        bump(root_->metricsRegistry(), "server.requests");
+        metrics::bump(root_->metricsRegistry(), "server.requests");
         if (shutdown_) {
             reject.outcome = DaemonOutcome::ShuttingDown;
             job->promise.set_value(std::move(reject));
@@ -775,7 +767,7 @@ SchedulingDaemon::submit(const std::string &session,
             reject.outcome = DaemonOutcome::Overloaded;
             reject.detail = "queue full (cap " +
                             std::to_string(cfg_.queueCap) + ")";
-            bump(root_->metricsRegistry(), "server.overloaded");
+            metrics::bump(root_->metricsRegistry(), "server.overloaded");
             job->promise.set_value(std::move(reject));
             return fut;
         }
@@ -817,7 +809,7 @@ SchedulingDaemon::finishJob(Session &s, Job &job)
         resp.outcome = DaemonOutcome::DeadlineExpired;
         resp.detail = "queued " + std::to_string(resp.queueMs) +
                       " ms past its deadline";
-        bump(root_->metricsRegistry(), "server.deadline_expired");
+        metrics::bump(root_->metricsRegistry(), "server.deadline_expired");
         job.promise.set_value(std::move(resp));
         return;
     }
@@ -837,9 +829,9 @@ SchedulingDaemon::finishJob(Session &s, Job &job)
         op.session = s.cfg.name;
         op.request = job.req;
         walAppend(op);
-        bump(root_->metricsRegistry(), "server.accepted");
+        metrics::bump(root_->metricsRegistry(), "server.accepted");
     } else {
-        bump(root_->metricsRegistry(), "server.rejected");
+        metrics::bump(root_->metricsRegistry(), "server.rejected");
     }
     // The session's registry writes through to the root aggregate,
     // so this per-session histogram lands in both.
@@ -1036,6 +1028,13 @@ SchedulingDaemon::walFsyncs() const
 {
     std::lock_guard<std::mutex> lock(walMu_);
     return wal_.fsyncs();
+}
+
+std::uint64_t
+SchedulingDaemon::walSyncedSeq() const
+{
+    std::lock_guard<std::mutex> lock(walMu_);
+    return wal_.syncedSeq();
 }
 
 void

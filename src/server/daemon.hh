@@ -86,6 +86,12 @@ struct DaemonConfig
      * keys). nullptr uses the process default context.
      */
     const engine::EngineContext *ctx = nullptr;
+    /**
+     * The syscalls every durable write (WAL, snapshots, recovery)
+     * goes through; nullptr uses the real ones. Only tests set it,
+     * to inject errors or to record and crash-test the sequence.
+     */
+    durable::Syscalls *syscalls = nullptr;
 };
 
 /** Daemon-level disposition of one operation. */
@@ -233,6 +239,9 @@ class SchedulingDaemon
 
     std::uint64_t walRecords() const;
     std::uint64_t walFsyncs() const;
+    /** Highest WAL sequence number known durable (after recovery:
+        the last record the recovered state reflects). */
+    std::uint64_t walSyncedSeq() const;
     std::uint64_t snapshotsWritten() const { return snapshots_; }
 
     // -- Test hooks -----------------------------------------------

@@ -1,13 +1,8 @@
 #include "server/snapshot.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -20,7 +15,9 @@ namespace server {
 
 namespace {
 
-constexpr const char *kMagic = "srsim-daemon-snapshot v1";
+constexpr const char *kMagic = "srsim-daemon-snapshot v2";
+/** Written before sessions' solver= / threads= were persisted. */
+constexpr const char *kMagicV1 = "srsim-daemon-snapshot v1";
 
 /** Lines + an embedded raw block, with 17-digit double round-trip. */
 class BodyWriter
@@ -136,66 +133,7 @@ toU64(BodyReader &r, const std::string &s)
     return v;
 }
 
-/** Write all of `bytes` to a new file `path` and fsync it. */
-bool
-writeFileDurably(const std::string &path, const std::string &bytes,
-                 std::string *err)
-{
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        *err = "cannot create '" + path + "': " + std::strerror(errno);
-        return false;
-    }
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n = ::write(fd, bytes.data() + off,
-                                  bytes.size() - off);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0) {
-            *err = "short write to '" + path + "'";
-            ::close(fd);
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        *err = "cannot fsync '" + path + "': " + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    if (::close(fd) != 0) {
-        *err = "cannot close '" + path + "': " + std::strerror(errno);
-        return false;
-    }
-    return true;
-}
-
 } // namespace
-
-bool
-syncDirectory(const std::string &dir, std::string *err)
-{
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0) {
-        *err = "cannot open directory '" + dir + "': " +
-               std::strerror(errno);
-        return false;
-    }
-    if (::fsync(fd) != 0) {
-        *err = "cannot fsync directory '" + dir + "': " +
-               std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    if (::close(fd) != 0) {
-        *err = "cannot close directory '" + dir + "': " +
-               std::strerror(errno);
-        return false;
-    }
-    return true;
-}
 
 std::string
 encodeSnapshot(const DaemonSnapshot &snap)
@@ -215,6 +153,8 @@ encodeSnapshot(const DaemonSnapshot &snap)
         w.line("alloc ", c.alloc);
         w.line("seed ", c.seed);
         w.line("cachesess ", c.cache ? 1 : 0);
+        w.line("solver ", c.solver);
+        w.line("threads ", c.threads);
         w.line("period ", s.period);
         w.line("tasks ", s.tasks.size());
         for (const SnapshotTask &t : s.tasks)
@@ -250,7 +190,9 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         return false;
     };
 
-    if (r.nextLine() != kMagic) {
+    const std::string magic = r.nextLine();
+    const bool v1 = magic == kMagicV1;
+    if (magic != kMagic && !v1) {
         r.fail("bad magic (expected '" + std::string(kMagic) + "')");
         return bail();
     }
@@ -273,6 +215,12 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         s.cfg.seed = toU64(r, expectKey(r, "seed"));
         s.cfg.cache =
             toNumber(r, expectKey(r, "cachesess")) != 0.0;
+        // A v1 image's sessions run on the daemon's defaults.
+        if (!v1) {
+            s.cfg.solver = expectKey(r, "solver");
+            s.cfg.threads = static_cast<std::size_t>(
+                toU64(r, expectKey(r, "threads")));
+        }
         s.period = toNumber(r, expectKey(r, "period"));
         const double nTasks = toNumber(r, expectKey(r, "tasks"));
         if (!r.ok() || nTasks < 0 || nTasks > 1e6) {
@@ -346,27 +294,9 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
 }
 
 bool
-replaceFileDurably(const std::string &path, const std::string &bytes,
-                   std::string *err)
-{
-    const std::string tmp = path + ".tmp";
-    if (!writeFileDurably(tmp, bytes, err))
-        return false;
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        *err = "cannot rename '" + tmp + "': " + ec.message();
-        return false;
-    }
-    const std::string dir =
-        std::filesystem::path(path).parent_path().string();
-    return syncDirectory(dir.empty() ? "." : dir, err);
-}
-
-bool
 writeSnapshotFile(const std::string &dir,
-                  const DaemonSnapshot &snap, std::string *pathOut,
-                  std::string *err)
+                  const DaemonSnapshot &snap, durable::Syscalls *sys,
+                  std::string *pathOut, std::string *err)
 {
     const std::string body = encodeSnapshot(snap);
     const std::uint64_t hash = online::fnv1a64(body);
@@ -376,7 +306,7 @@ writeSnapshotFile(const std::string &dir,
     const std::filesystem::path finalPath =
         std::filesystem::path(dir) / name.str();
 
-    if (!replaceFileDurably(finalPath.string(), body, err))
+    if (!durable::replaceFile(finalPath.string(), body, sys, err))
         return false;
     if (pathOut)
         *pathOut = finalPath.string();

@@ -19,12 +19,14 @@
  * a snapshot is trusted only after it certifies.
  *
  * Files are content-addressed — `snap-<walseq>-<fnv1a64(body)>.snap`
- * — and written atomically (tmp + fsync + rename), so a crash while
- * snapshotting leaves either no new file or a verifiable one; a
- * corrupt file fails its hash and recovery falls back to the next
- * older snapshot, and ultimately to a full WAL replay. The format
- * is versioned ("srsim-daemon-snapshot v1"); readers reject
- * versions they do not understand.
+ * — and written with durable::replaceFile() (tmp + fsync + rename
+ * + directory fsync), so a crash while snapshotting leaves either no
+ * new file or a verifiable one; a corrupt file fails its hash and
+ * recovery falls back to the next older snapshot, and ultimately to
+ * a full WAL replay. The format is versioned ("srsim-daemon-snapshot
+ * v2", which added each session's solver= and threads= overrides);
+ * readers also accept v1 and reject versions they do not
+ * understand.
  */
 
 #ifndef SRSIM_SERVER_SNAPSHOT_HH_
@@ -36,6 +38,7 @@
 
 #include "server/protocol.hh"
 #include "topology/topology.hh"
+#include "util/durable_file.hh"
 
 namespace srsim {
 namespace server {
@@ -110,29 +113,15 @@ bool decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
                     std::string *err);
 
 /**
- * fsync directory `dir`, making a file created or renamed inside it
- * durable. @return false + *err when the open, fsync or close fails.
- */
-bool syncDirectory(const std::string &dir, std::string *err);
-
-/**
- * Replace `path` with `bytes` atomically and durably: write
- * `path`.tmp in full (retrying EINTR), fsync it, rename it over
- * `path`, fsync the directory. @return false + *err when any step
- * fails; `path` then holds its old or its new bytes, and a new file
- * is not known to be durable.
- */
-bool replaceFileDurably(const std::string &path,
-                        const std::string &bytes, std::string *err);
-
-/**
  * Write `snap` into `dir` under its content-addressed name with
- * replaceFileDurably(). @return false + *err on I/O failure; on
- * success *pathOut (if non-null) receives the final path.
+ * durable::replaceFile() through `sys` (nullptr = the real
+ * syscalls). @return false + *err on I/O failure; on success
+ * *pathOut (if non-null) receives the final path.
  */
 bool writeSnapshotFile(const std::string &dir,
                        const DaemonSnapshot &snap,
-                       std::string *pathOut, std::string *err);
+                       durable::Syscalls *sys, std::string *pathOut,
+                       std::string *err);
 
 /** One snapshot file found in a state directory. */
 struct SnapshotFileInfo

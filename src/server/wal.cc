@@ -1,11 +1,6 @@
 #include "server/wal.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -229,17 +224,13 @@ WriteAheadLog::~WriteAheadLog()
 
 bool
 WriteAheadLog::open(const std::string &path, std::uint64_t nextSeq,
-                    std::string *err)
+                    durable::Syscalls *sys, std::string *err)
 {
     close();
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
-        if (err)
-            *err = "cannot open WAL '" + path + "' for append";
+    if (!file_.open(path, sys, err))
         return false;
-    }
     nextSeq_ = nextSeq;
-    failed_ = false;
+    syncedSeq_ = nextSeq - 1;
     return true;
 }
 
@@ -260,39 +251,21 @@ WriteAheadLog::append(const DaemonOp &op)
 bool
 WriteAheadLog::sync()
 {
-    if (failed_)
+    if (file_.failed())
         return false;
-    if (fd_ < 0 || pending_.empty())
+    if (!file_.isOpen() || pending_.empty())
         return true;
     const double t0 = trace::Tracer::nowWallUs();
-    std::size_t off = 0;
-    while (off < pending_.size()) {
-        const ssize_t n = ::write(fd_, pending_.data() + off,
-                                  pending_.size() - off);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break; // short device: records stay pending, retryable
-        off += static_cast<std::size_t>(n);
-    }
-    if (off < pending_.size()) {
-        pending_.erase(0, off);
-        warn("WAL short write (", std::strerror(errno),
-             "); records stay pending");
+    std::string err;
+    if (!file_.appendAndSync(pending_, &err)) {
+        if (file_.failed())
+            warn("WAL fsync failed (", err,
+                 "); log can no longer certify durability");
+        else
+            warn("WAL write failed (", err, "); records stay pending");
         return false;
     }
-    pending_.clear();
-    int rc;
-    while ((rc = ::fsync(fd_)) != 0 && errno == EINTR) {
-    }
-    if (rc != 0) {
-        // Dirty-page fate is unknown after a failed fsync; nothing
-        // appended since the last good sync may be certified again.
-        failed_ = true;
-        warn("WAL fsync failed (", std::strerror(errno),
-             "); log can no longer certify durability");
-        return false;
-    }
+    syncedSeq_ = nextSeq_ - 1;
     ++fsyncs_;
     if (SRSIM_METRICS_ENABLED()) {
         metrics::Registry &r = reg();
@@ -304,24 +277,27 @@ WriteAheadLog::sync()
     return true;
 }
 
-void
+bool
 WriteAheadLog::close()
 {
-    if (fd_ < 0)
-        return;
-    sync();
-    ::close(fd_);
-    fd_ = -1;
+    if (!file_.isOpen())
+        return true;
+    const bool synced = sync();
+    std::string err;
+    if (!file_.close(&err)) {
+        warn("WAL close failed (", err, ")");
+        return false;
+    }
+    return synced;
 }
 
 void
 WriteAheadLog::crashForTest()
 {
-    if (fd_ < 0)
-        return;
     pending_.clear();
-    ::close(fd_);
-    fd_ = -1;
+    std::string err;
+    if (!file_.close(&err))
+        warn("WAL close failed (", err, ")");
 }
 
 } // namespace server

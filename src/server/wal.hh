@@ -6,10 +6,11 @@
  * (open, close, and each accepted request) is appended as one JSON
  * object per line, in commit order, tagged with a strictly
  * increasing sequence number. Records are buffered in user space
- * and made durable by sync() — write(2) + fsync(2) — so the daemon
- * can group-commit batches; anything not yet synced is exactly what
- * a crash may lose. Replaying the log from an empty daemon (or a
- * snapshot's walseq) deterministically reconstructs the state:
+ * and made durable by sync() — write(2) + fsync(2) through
+ * durable::AppendFile — so the daemon can group-commit batches;
+ * anything not yet synced is exactly what a crash may lose.
+ * Replaying the log from an empty daemon (or a snapshot's walseq)
+ * deterministically reconstructs the state:
  * rejected requests never reach the log, and accepted requests
  * re-applied to the same prior state are accepted again with
  * byte-identical published schedules.
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "server/protocol.hh"
+#include "util/durable_file.hh"
 
 namespace srsim {
 
@@ -77,28 +79,33 @@ class WriteAheadLog
     WriteAheadLog &operator=(const WriteAheadLog &) = delete;
 
     /**
-     * Open `path` for appending; new records are numbered from
-     * `nextSeq`. @return false (with *err set) on I/O failure.
+     * Open `path` for appending through `sys` (nullptr = the real
+     * syscalls); new records are numbered from `nextSeq`, and every
+     * record before it counts as durable. @return false (with *err
+     * set) on I/O failure.
      */
     bool open(const std::string &path, std::uint64_t nextSeq,
-              std::string *err);
+              durable::Syscalls *sys, std::string *err);
 
-    bool isOpen() const { return fd_ >= 0; }
+    bool isOpen() const { return file_.isOpen(); }
 
     /** Buffer one record; @return its sequence number. */
     std::uint64_t append(const DaemonOp &op);
 
     /**
      * Make every buffered record durable (write + fsync).
-     * @return true iff every appended record is on disk. A short
-     * write keeps the remainder pending (a later sync retries); a
-     * failed fsync is sticky — the dirty pages' fate is unknown, so
-     * the log can never again certify durability on this fd.
+     * @return true iff every appended record is on disk. A failed
+     * write keeps the rest pending (a later sync retries); a failed
+     * fsync is sticky — the dirty pages' fate is unknown, so the log
+     * can never again certify durability on this fd.
      */
     bool sync();
 
-    /** Graceful close: sync (best effort), then close the fd. */
-    void close();
+    /**
+     * Graceful close: sync, then close the fd. @return false (after
+     * a warning) when either fails.
+     */
+    bool close();
 
     /**
      * Crash simulation for tests: drop the user-space buffer and
@@ -116,6 +123,8 @@ class WriteAheadLog
 
     /** Sequence number the next append() will use. */
     std::uint64_t nextSeq() const { return nextSeq_; }
+    /** Highest sequence number known to be durable. */
+    std::uint64_t syncedSeq() const { return syncedSeq_; }
     /** Records appended (buffered or synced) this run. */
     std::uint64_t recordsAppended() const { return appended_; }
     /** sync() calls that actually hit the disk. */
@@ -126,13 +135,12 @@ class WriteAheadLog
     metrics::Registry &reg() const;
 
     metrics::Registry *registry_ = nullptr;
-    int fd_ = -1;
+    durable::AppendFile file_;
     std::string pending_;
     std::uint64_t nextSeq_ = 1;
+    std::uint64_t syncedSeq_ = 0;
     std::uint64_t appended_ = 0;
     std::uint64_t fsyncs_ = 0;
-    /** Set by a failed fsync; cleared only by open(). */
-    bool failed_ = false;
 };
 
 } // namespace server

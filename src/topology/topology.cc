@@ -286,6 +286,15 @@ Topology::pathAlive(const Path &p) const
     return true;
 }
 
+bool
+Topology::crossesDerated(const Path &p) const
+{
+    for (LinkId l : p.links)
+        if (linkCapacity(l) < 1.0)
+            return true;
+    return false;
+}
+
 Path
 Topology::makePath(const std::vector<NodeId> &nodes) const
 {

@@ -164,6 +164,9 @@ class Topology
      */
     bool pathAlive(const Path &p) const;
 
+    /** @return true if p crosses a link below full capacity. */
+    bool crossesDerated(const Path &p) const;
+
   protected:
     void setNumNodes(int n);
     void addLink(NodeId a, NodeId b);

@@ -29,23 +29,6 @@ envString(const char *name)
     return std::string(v);
 }
 
-/**
- * @return the variable parsed as a positive integer; nullopt when
- * unset, empty, malformed, or < 1 (callers warn as appropriate).
- */
-inline std::optional<std::size_t>
-envPositive(const char *name)
-{
-    const std::optional<std::string> s = envString(name);
-    if (!s)
-        return std::nullopt;
-    char *end = nullptr;
-    const long v = std::strtol(s->c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1)
-        return std::nullopt;
-    return static_cast<std::size_t>(v);
-}
-
 } // namespace srsim
 
 #endif // SRSIM_UTIL_ENV_HH_

@@ -78,6 +78,12 @@ struct ForLoopState
     std::condition_variable done_cv;
     std::size_t done = 0;
     bool finished = false; // set once done == n; body is dead after
+    /**
+     * Lowest-index exception; moved in and out only under `mu`, so
+     * a runner that drops the last reference to this state after
+     * the caller has returned never releases an exception the
+     * caller rethrew.
+     */
     std::exception_ptr error;
     std::size_t errorIndex = SIZE_MAX;
 
@@ -99,7 +105,7 @@ struct ForLoopState
             std::lock_guard<std::mutex> lk(mu);
             if (eptr && i < errorIndex) {
                 errorIndex = i;
-                error = eptr;
+                error = std::move(eptr);
             }
             if (++done == n) {
                 finished = true;
@@ -147,8 +153,10 @@ ThreadPool::parallelFor(std::size_t n,
 
     std::unique_lock<std::mutex> lk(state->mu);
     state->done_cv.wait(lk, [&]() { return state->finished; });
-    if (state->error)
-        std::rethrow_exception(state->error);
+    const std::exception_ptr error = std::move(state->error);
+    lk.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 namespace {

@@ -312,5 +312,26 @@ TEST(EngineContextChild, WarmStartsHalveChurnAndMipPivots)
     EXPECT_LE(mipWarm * 2, mipCold);
 }
 
+// SolverConfig::warmStart is the one warm-start switch: an online
+// scheduler under a context that turns it off keeps no basis cache,
+// so its churn never attempts a warm start.
+TEST(EngineContextChild, WarmStartOffMeansNoChurnWarmStarts)
+{
+    EngineContext &root = EngineContext::processDefault();
+    const auto attempts = [&](const char *name, bool warm) {
+        ChildOptions co;
+        co.name = name;
+        co.solverKind = lp::SolverKind::Sparse;
+        co.warmStart = warm;
+        const auto ctx = root.createChild(co);
+        EXPECT_GT(churnPivots(*ctx), 0u) << name;
+        return ctx->metricsRegistry()
+            .counter("solver.warmstart.attempts")
+            .value();
+    };
+    EXPECT_GT(attempts("churn.warm", true), 0u);
+    EXPECT_EQ(attempts("churn.cold", false), 0u);
+}
+
 } // namespace
 } // namespace srsim

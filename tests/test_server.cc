@@ -11,6 +11,8 @@
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,6 +29,9 @@
 #include "server/wal.hh"
 #include "tfg/dvb.hh"
 #include "topology/factory.hh"
+#include "util/logging.hh"
+
+#include "durable_fake.hh"
 
 namespace srsim {
 namespace {
@@ -281,7 +286,7 @@ TEST(ServerWal, RecordsRoundTripThroughTheLog)
     {
         server::WriteAheadLog wal;
         std::string err;
-        ASSERT_TRUE(wal.open(path, 1, &err)) << err;
+        ASSERT_TRUE(wal.open(path, 1, nullptr, &err)) << err;
         for (const DaemonOp &op : parseOps(
                  "open a topo=torus:4,4,4 period=120 tfg=dvb "
                  "bw=128 alloc=rr:13\n"
@@ -326,7 +331,7 @@ TEST(ServerWal, ExactDoublesAndWideSeedsSurviveReplay)
     {
         server::WriteAheadLog wal;
         std::string err;
-        ASSERT_TRUE(wal.open(path, 1, &err)) << err;
+        ASSERT_TRUE(wal.open(path, 1, nullptr, &err)) << err;
         wal.append(op);
         wal.sync();
     }
@@ -346,7 +351,7 @@ TEST(ServerWal, TornTailEndsReplayCleanly)
     {
         server::WriteAheadLog wal;
         std::string err;
-        ASSERT_TRUE(wal.open(path, 1, &err)) << err;
+        ASSERT_TRUE(wal.open(path, 1, nullptr, &err)) << err;
         for (const DaemonOp &op : parseOps(
                  "open a topo=cube:3 period=100 tfg=dvb\n"
                  "a admit x0 probe verify 256\n"))
@@ -422,7 +427,7 @@ TEST(ServerWal, ControlCharactersInStringsRoundTrip)
     {
         server::WriteAheadLog wal;
         std::string err;
-        ASSERT_TRUE(wal.open(path, 1, &err)) << err;
+        ASSERT_TRUE(wal.open(path, 1, nullptr, &err)) << err;
         wal.append(op);
         EXPECT_TRUE(wal.sync());
     }
@@ -480,6 +485,38 @@ TEST(ServerSnapshot, CodecRoundTrips)
     EXPECT_EQ(back.cache[0].peakUtilization, 0.25);
 }
 
+TEST(ServerSnapshot, SessionOverridesRoundTripAndV1StillDecodes)
+{
+    server::DaemonSnapshot snap = sampleSnapshot();
+    snap.sessions[0].cfg.solver = "dense";
+    snap.sessions[0].cfg.threads = 2;
+    const std::string body = server::encodeSnapshot(snap);
+    server::DaemonSnapshot back;
+    std::string err;
+    ASSERT_TRUE(server::decodeSnapshot(body, &back, &err)) << err;
+    EXPECT_EQ(back.sessions[0].cfg.solver, "dense");
+    EXPECT_EQ(back.sessions[0].cfg.threads, 2u);
+
+    // A v1 image (written before the overrides were persisted) has
+    // neither line; its sessions decode onto the daemon defaults.
+    std::string v1 = body;
+    const auto cut = [&](const std::string &line) {
+        const std::size_t at = v1.find(line);
+        ASSERT_NE(at, std::string::npos) << line;
+        v1.erase(at, line.size());
+    };
+    cut("srsim-daemon-snapshot v2\n");
+    cut("solver dense\n");
+    cut("threads 2\n");
+    v1 = "srsim-daemon-snapshot v1\n" + v1;
+    ASSERT_TRUE(server::decodeSnapshot(v1, &back, &err)) << err;
+    EXPECT_EQ(back.sessions[0].cfg.solver, "");
+    EXPECT_EQ(back.sessions[0].cfg.threads, 0u);
+    EXPECT_EQ(back.sessions[0].cfg.topo, "torus:4,4,4");
+    EXPECT_EQ(back.sessions[0].scheduleText,
+              snap.sessions[0].scheduleText);
+}
+
 TEST(ServerSnapshot, WideSeedsSurviveTheCodec)
 {
     // Same trap as the WAL: the decoder's double-based number
@@ -519,7 +556,7 @@ TEST(ServerSnapshot, FilesAreContentAddressedAndVerified)
     const std::string dir = scratchDir("snap-files");
     std::string path, err;
     ASSERT_TRUE(server::writeSnapshotFile(dir, sampleSnapshot(),
-                                          &path, &err))
+                                          nullptr, &path, &err))
         << err;
     auto infos = server::listSnapshots(dir);
     ASSERT_EQ(infos.size(), 1u);
@@ -859,6 +896,40 @@ TEST(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
                           "a remove x0\n"));
 }
 
+TEST(ServerDaemon, SnapshotRestoreKeepsTheSessionSolver)
+{
+    // A solver=dense session never warm-starts. Recovery that goes
+    // through a snapshot must bring the override back with it, or
+    // the restored session runs on the daemon's warm-starting
+    // default.
+    const std::string dir = scratchDir("snap-solver");
+    SessionConfig sc = figSession("a");
+    sc.solver = "dense";
+    sc.cache = false; // every request is a real re-solve
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(sc).result.accepted);
+        d.shutdown(); // final snapshot certifies the open
+    }
+    DaemonConfig cfg;
+    cfg.stateDir = dir;
+    SchedulingDaemon d2(cfg);
+    ASSERT_FALSE(d2.recovery().snapshotPath.empty());
+    EXPECT_EQ(d2.recovery().replayed, 0u);
+    for (const DaemonOp &op : parseOps("a admit x0 probe verify 256\n"
+                                       "a remove x0\n"
+                                       "a admit x0 probe verify 256\n"))
+        ASSERT_TRUE(
+            d2.submit("a", op.request).get().result.accepted);
+    d2.drain();
+    const auto mets = d2.sessionMetrics();
+    ASSERT_EQ(mets.size(), 1u);
+    EXPECT_GT(count(*mets[0].second, "solver.solves"), 0u);
+    EXPECT_EQ(count(*mets[0].second, "solver.warmstart.attempts"), 0u);
+}
+
 TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
 {
     const std::string dir = scratchDir("recover-corrupt");
@@ -1164,6 +1235,533 @@ TEST(ServerDaemon, ChurnStressMatchesSingleWorkerRun)
         return bytes;
     };
     EXPECT_EQ(runAll(4), runAll(1));
+}
+
+// -- Durable files: injected errors and crashes -------------------
+
+using testing_durable::DirImage;
+using testing_durable::FakeSyscalls;
+using testing_durable::SyscallEvent;
+
+/** Apply one op synchronously; @return whether it was accepted. */
+bool
+applyOp(SchedulingDaemon &d, const DaemonOp &op)
+{
+    switch (op.kind) {
+      case DaemonOp::Kind::Open: {
+          const DaemonResponse r = d.open(op.open);
+          return r.outcome == DaemonOutcome::Ok && r.result.accepted;
+      }
+      case DaemonOp::Kind::Close:
+          return d.close(op.session).outcome == DaemonOutcome::Ok;
+      case DaemonOp::Kind::Request: {
+          const DaemonResponse r =
+              d.submit(op.session, op.request).get();
+          return r.outcome == DaemonOutcome::Ok && r.result.accepted;
+      }
+    }
+    return false;
+}
+
+/** Live sessions by name, with their published bytes. */
+using DaemonState = std::map<std::string, std::string>;
+
+DaemonState
+stateOf(const SchedulingDaemon &d)
+{
+    DaemonState st;
+    for (const std::string &name : d.sessionNames())
+        st[name] = publishedBytes(d, name);
+    return st;
+}
+
+/**
+ * The straight-line reference: an ephemeral daemon runs `ops` in
+ * order. Every op of these scripts is accepted, so op i is WAL
+ * record i + 1 and entry s is the state after record s.
+ */
+std::vector<DaemonState>
+referenceHistory(const std::vector<DaemonOp> &ops)
+{
+    SchedulingDaemon d(DaemonConfig{});
+    std::vector<DaemonState> history{DaemonState{}};
+    for (const DaemonOp &op : ops) {
+        EXPECT_TRUE(applyOp(d, op));
+        history.push_back(stateOf(d));
+    }
+    return history;
+}
+
+/** What recovering one state directory gave. */
+struct Recovered
+{
+    /** FatalError text; empty when recovery finished. */
+    std::string fatal;
+    /** Last WAL record the recovered state reflects. */
+    std::uint64_t seq = 0;
+    /** walSeq of the snapshot recovery started from (0 = none). */
+    std::uint64_t snapshotSeq = 0;
+    std::uint64_t replayRejected = 0;
+    DaemonState state;
+};
+
+Recovered
+recoverDir(const std::string &dir)
+{
+    Recovered r;
+    try {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        r.seq = d.walSyncedSeq();
+        r.snapshotSeq = d.recovery().snapshotSeq;
+        r.replayRejected = d.recovery().replayRejected;
+        r.state = stateOf(d);
+        d.crashForTest(); // leave the directory as recovery left it
+    } catch (const FatalError &e) {
+        r.fatal = e.what();
+    }
+    return r;
+}
+
+/** Why `r` is not a state of the reference history ("" = it is). */
+std::string
+checkRecovered(const Recovered &r,
+               const std::vector<DaemonState> &history)
+{
+    if (!r.fatal.empty())
+        return "fatal: " + r.fatal;
+    if (r.replayRejected != 0)
+        return std::to_string(r.replayRejected) +
+               " replayed records rejected";
+    if (r.seq >= history.size())
+        return "recovered seq " + std::to_string(r.seq) +
+               " is past the history";
+    if (r.state != history[r.seq])
+        return "state differs from the reference at seq " +
+               std::to_string(r.seq);
+    return {};
+}
+
+const char *const kMatrixScript =
+    "open a topo=torus:4,4,4 period=120 tfg=dvb bw=128 alloc=rr:13\n"
+    "a admit x0 probe verify 256\n"
+    "a admit x1 match probe 128\n"
+    "a remove x0\n"
+    "a remove x1\n";
+
+/** Snapshot counts around one step (op or shutdown) of a run. */
+struct MatrixStep
+{
+    /** The injected failure fired during this step. */
+    bool injectedHere = false;
+    std::uint64_t snapsBefore = 0;
+    std::uint64_t snapsAfter = 0;
+};
+
+struct MatrixRun
+{
+    std::string fatal;
+    /** One per op, then one for shutdown. */
+    std::vector<MatrixStep> steps;
+    std::uint64_t snapshots = 0;
+    std::uint64_t syncedSeq = 0;
+    DirImage dir;
+};
+
+/** Run `ops` and shut down, on a fresh `dir`, through `fake`. */
+MatrixRun
+runMatrix(const std::string &dir, FakeSyscalls &fake,
+          const std::vector<DaemonOp> &ops)
+{
+    std::filesystem::remove_all(dir);
+    MatrixRun run;
+    try {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        cfg.snapshotEvery = 2;
+        cfg.walSyncEvery = 1;
+        cfg.syscalls = &fake;
+        SchedulingDaemon d(cfg);
+        const auto step = [&](const auto &body) {
+            MatrixStep st;
+            const bool before = fake.injected();
+            st.snapsBefore = d.snapshotsWritten();
+            body();
+            st.snapsAfter = d.snapshotsWritten();
+            st.injectedHere = !before && fake.injected();
+            run.steps.push_back(st);
+        };
+        for (const DaemonOp &op : ops)
+            step([&] { EXPECT_TRUE(applyOp(d, op)); });
+        step([&] { d.shutdown(); });
+        run.snapshots = d.snapshotsWritten();
+        run.syncedSeq = d.walSyncedSeq();
+    } catch (const FatalError &e) {
+        run.fatal = e.what();
+    }
+    run.dir = testing_durable::readDirImage(dir);
+    return run;
+}
+
+bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(),
+                     suffix) == 0;
+}
+
+std::string
+describe(const SyscallEvent &ev)
+{
+    return std::string(testing_durable::kindName(ev.kind)) + " " +
+           std::filesystem::path(ev.path).filename().string();
+}
+
+/*
+ * EINTR, EIO and ENOSPC at every write, fsync, rename and close of a
+ * durable run (recovery's directory sync, WAL group commits, periodic
+ * and final snapshots, the WAL's close):
+ *  - EINTR is retried: the directory ends byte for byte as without it;
+ *  - a failed WAL write keeps its records pending, and a later sync
+ *    makes every record durable;
+ *  - a failed WAL fsync is sticky: nothing after it is certified and
+ *    no later snapshot is taken;
+ *  - a failed snapshot step counts no snapshot;
+ *  - a failed recovery step is a FatalError naming strerror;
+ * and in every non-fatal case the directory recovers to a state of
+ * the reference history.
+ */
+TEST(ServerDurable, InjectedErrorMatrix)
+{
+    const std::string dir = scratchDir("error-matrix");
+    const std::string wal = dir + "/wal.jsonl";
+    const std::vector<DaemonOp> ops = parseOps(kMatrixScript);
+    const std::vector<DaemonState> history = referenceHistory(ops);
+    const std::uint64_t records = ops.size();
+
+    FakeSyscalls base;
+    const MatrixRun clean = runMatrix(dir, base, ops);
+    ASSERT_EQ(clean.fatal, "");
+    ASSERT_GE(clean.snapshots, 2u);
+    ASSERT_EQ(clean.syncedSeq, records);
+    const std::vector<SyscallEvent> &evs = base.events();
+
+    std::size_t cases = 0;
+    bool walWritten = false;
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+        const SyscallEvent &ev = evs[i];
+        const bool onWal = ev.path == wal;
+        // Directory syncs before the first WAL write are recovery's.
+        const bool recovery = !walWritten && !onWal;
+        walWritten |= onWal && ev.kind == SyscallEvent::Kind::Write;
+        if (ev.kind == SyscallEvent::Kind::Open ||
+            ev.kind == SyscallEvent::Kind::OpenDirectory)
+            continue;
+        for (const int e : {EINTR, EIO, ENOSPC}) {
+            SCOPED_TRACE("call " + std::to_string(i) + " (" +
+                         describe(ev) + ") fails with " +
+                         std::strerror(e));
+            FakeSyscalls fake;
+            fake.failAt(i, e);
+            const MatrixRun run = runMatrix(dir, fake, ops);
+            ASSERT_TRUE(fake.injected());
+            ++cases;
+            if (e == EINTR) {
+                EXPECT_EQ(run.fatal, "");
+                EXPECT_EQ(run.snapshots, clean.snapshots);
+                EXPECT_TRUE(run.dir == clean.dir);
+                continue;
+            }
+            if (recovery) {
+                EXPECT_NE(run.fatal.find(std::strerror(e)),
+                          std::string::npos)
+                    << run.fatal;
+                continue;
+            }
+            ASSERT_EQ(run.fatal, "");
+            const Recovered rec = recoverDir(dir);
+            EXPECT_EQ(checkRecovered(rec, history), "");
+            std::size_t at = 0;
+            while (at < run.steps.size() && !run.steps[at].injectedHere)
+                ++at;
+            ASSERT_LT(at, run.steps.size());
+            const MatrixStep &hit = run.steps[at];
+            if (onWal && ev.kind == SyscallEvent::Kind::Fsync) {
+                EXPECT_LT(run.syncedSeq, records);
+                EXPECT_EQ(run.snapshots, hit.snapsBefore);
+                EXPECT_GE(rec.seq, run.syncedSeq);
+            } else if (onWal) {
+                // A failed write (retried later) or a failed close
+                // after the final sync: nothing is lost.
+                EXPECT_EQ(run.syncedSeq, records);
+                EXPECT_EQ(rec.seq, records);
+            } else {
+                EXPECT_EQ(hit.snapsAfter, hit.snapsBefore);
+                EXPECT_EQ(run.syncedSeq, records);
+                EXPECT_EQ(rec.seq, records);
+            }
+        }
+    }
+    // 3 errnos x (recovery's directory fsync + close, 5 group commits
+    // of write + fsync, >= 2 snapshots of 6 checked calls, WAL close).
+    EXPECT_GE(cases, 3u * (2 + 10 + 12 + 1));
+}
+
+/*
+ * Recovery rewrites a torn WAL through an atomic replace. A failure
+ * at any step of it is a FatalError naming the log and strerror, and
+ * leaves the log with its old or its new bytes: the next recovery
+ * finishes the job.
+ */
+TEST(ServerDurable, FailedTornTailRewriteIsAStructuredFatal)
+{
+    const std::string dir = scratchDir("torn-rewrite");
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+        online::Request admit;
+        admit.kind = online::RequestKind::AdmitMessage;
+        admit.admits.push_back({"x0", "probe", "verify", 256.0});
+        ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
+        d.drain();
+        d.crashForTest();
+    }
+    {
+        std::ofstream out(dir + "/wal.jsonl", std::ios::app);
+        out << "{\"seq\":3,\"op\":\"re"; // torn mid-record
+    }
+    const DirImage torn = testing_durable::readDirImage(dir);
+    const std::string expected =
+        directBytes("a admit x0 probe verify 256\n");
+
+    FakeSyscalls base;
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        cfg.syscalls = &base;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.recovery().walTornTail);
+        d.crashForTest();
+    }
+    const DirImage repaired = testing_durable::readDirImage(dir);
+    const std::vector<SyscallEvent> &evs = base.events();
+    // The rewrite is every call before the log is reopened for append.
+    std::size_t rewriteEnd = 0;
+    while (rewriteEnd < evs.size() &&
+           !(evs[rewriteEnd].kind == SyscallEvent::Kind::Open &&
+             endsWith(evs[rewriteEnd].path, "/wal.jsonl")))
+        ++rewriteEnd;
+    ASSERT_GE(rewriteEnd, 8u); // open, write, fsync, close, rename,
+                               // opendir, fsync, close
+
+    for (std::size_t i = 0; i < rewriteEnd; ++i) {
+        if (evs[i].kind == SyscallEvent::Kind::Open ||
+            evs[i].kind == SyscallEvent::Kind::OpenDirectory)
+            continue;
+        for (const int e : {EINTR, EIO, ENOSPC}) {
+            SCOPED_TRACE("call " + std::to_string(i) + " (" +
+                         describe(evs[i]) + ") fails with " +
+                         std::strerror(e));
+            testing_durable::writeDirImage(dir, torn);
+            FakeSyscalls fake;
+            fake.failAt(i, e);
+            std::string fatal;
+            try {
+                DaemonConfig cfg;
+                cfg.stateDir = dir;
+                cfg.syscalls = &fake;
+                SchedulingDaemon d(cfg);
+                d.crashForTest();
+            } catch (const FatalError &ex) {
+                fatal = ex.what();
+            }
+            if (e == EINTR) {
+                EXPECT_EQ(fatal, "");
+                EXPECT_TRUE(testing_durable::readDirImage(dir) ==
+                            repaired);
+                continue;
+            }
+            EXPECT_NE(fatal.find("cannot rewrite torn WAL"),
+                      std::string::npos)
+                << fatal;
+            EXPECT_NE(fatal.find(std::strerror(e)), std::string::npos)
+                << fatal;
+            const Recovered rec = recoverDir(dir);
+            EXPECT_EQ(rec.fatal, "");
+            EXPECT_EQ(rec.seq, 2u);
+            EXPECT_EQ(rec.state, (DaemonState{{"a", expected}}));
+        }
+    }
+}
+
+/** Real syscalls, except that every write reports no progress. */
+class NoProgressWrites final : public durable::Syscalls
+{
+  public:
+    int
+    open(const char *path, int flags, int mode) override
+    {
+        return durable::realSyscalls().open(path, flags, mode);
+    }
+    int
+    openDirectory(const char *path) override
+    {
+        return durable::realSyscalls().openDirectory(path);
+    }
+    long
+    write(int, const void *, std::size_t) override
+    {
+        errno = EBADF; // stale: a zero-byte write sets no errno
+        return 0;
+    }
+    int fsync(int fd) override { return durable::realSyscalls().fsync(fd); }
+    int
+    rename(const char *from, const char *to) override
+    {
+        return durable::realSyscalls().rename(from, to);
+    }
+    int close(int fd) override { return durable::realSyscalls().close(fd); }
+};
+
+TEST(ServerDurable, ZeroByteWriteIsAFailureWithoutAStaleErrno)
+{
+    const std::string dir = scratchDir("zero-write");
+    NoProgressWrites sys;
+    durable::AppendFile f;
+    std::string err;
+    ASSERT_TRUE(f.open(dir + "/log", &sys, &err)) << err;
+    std::string pending = "record\n";
+    EXPECT_FALSE(f.appendAndSync(pending, &err));
+    EXPECT_EQ(pending, "record\n"); // kept for a retry
+    EXPECT_FALSE(f.failed());      // a write failure is not sticky
+    EXPECT_NE(err.find("no progress"), std::string::npos) << err;
+    EXPECT_EQ(err.find(std::strerror(EBADF)), std::string::npos) << err;
+    EXPECT_TRUE(f.close(&err)) << err;
+}
+
+const char *const kSweepScript =
+    "open a topo=torus:4,4,4 period=120 tfg=dvb bw=128 alloc=rr:13\n"
+    "open b topo=torus:4,4,4 period=120 tfg=dvb bw=128 alloc=rr:13\n"
+    "a admit x0 probe verify 256\n"
+    "b admit x0 probe verify 256\n"
+    "a admit x1 match probe 128\n"
+    "b remove x0\n"
+    "a remove x0\n"
+    "b admit x1 match probe 128\n"
+    "close b\n"
+    "a remove x1\n";
+/** Ops before the recorded run restarts the daemon gracefully. */
+constexpr std::size_t kSweepRestartAfter = 6;
+
+/*
+ * Crash at every syscall of a durable two-session churn run (group
+ * commit every 2 records, a snapshot every 3 accepted ops, one
+ * graceful restart), in the style of Pillai et al. (OSDI'14). The
+ * fake records the run and models the durable state; each crash
+ * image (and a second one keeping half of the WAL's unsynced append,
+ * a torn tail) is recovered with the real syscalls. Every recovery
+ * must finish without rejecting a replayed record, land on the
+ * straight-line reference at its sequence number, keep every record
+ * the daemon had synced and every snapshot it had counted.
+ */
+TEST(ServerDurable, CrashAtEverySyscallRecoversADurablePrefix)
+{
+    const std::vector<DaemonOp> ops = parseOps(kSweepScript);
+    const std::vector<DaemonState> history = referenceHistory(ops);
+
+    /** What the daemon claimed durable once `calls` calls ran. */
+    struct Claim
+    {
+        std::size_t calls = 0;
+        std::uint64_t synced = 0;
+        std::uint64_t snapshotSeq = 0;
+    };
+    std::vector<Claim> claims;
+    FakeSyscalls fake;
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = scratchDir("sweep-run");
+        cfg.snapshotEvery = 3;
+        cfg.walSyncEvery = 2;
+        cfg.syscalls = &fake;
+        auto d = std::make_unique<SchedulingDaemon>(cfg);
+        std::uint64_t snaps = 0, snapshotSeq = 0;
+        const auto claim = [&] {
+            if (d->snapshotsWritten() > snaps) {
+                snaps = d->snapshotsWritten();
+                snapshotSeq = d->walSyncedSeq();
+            }
+            claims.push_back(
+                {fake.events().size(), d->walSyncedSeq(), snapshotSeq});
+        };
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (i == kSweepRestartAfter) {
+                d->shutdown();
+                claim();
+                d = std::make_unique<SchedulingDaemon>(cfg);
+                snaps = 0;
+                ASSERT_EQ(d->recovery().replayRejected, 0u);
+            }
+            ASSERT_TRUE(applyOp(*d, ops[i])) << "op " << i;
+            claim();
+        }
+        d->shutdown();
+        claim();
+        ASSERT_EQ(d->walSyncedSeq(), ops.size());
+    }
+    const std::vector<SyscallEvent> &evs = fake.events();
+    // >= 2 snapshots, so crashes land between a snapshot's tmp fsync
+    // and its rename, and between the rename and the directory fsync.
+    std::size_t snapshotRenames = 0;
+    for (const SyscallEvent &ev : evs)
+        snapshotRenames += ev.kind == SyscallEvent::Kind::Rename &&
+                           endsWith(ev.path, ".snap.tmp");
+    EXPECT_GE(snapshotRenames, 2u);
+
+    const std::string imageDir = scratchDir("sweep-image");
+    std::map<DirImage, Recovered> recovered;
+    std::vector<std::string> failures;
+    Claim due;
+    std::size_t nextClaim = 0;
+    for (std::size_t k = 0; k <= evs.size(); ++k) {
+        while (nextClaim < claims.size() &&
+               claims[nextClaim].calls <= k)
+            due = claims[nextClaim++];
+        for (const bool torn : {false, true}) {
+            const DirImage image =
+                fake.crashImage(k, torn ? "wal.jsonl" : "");
+            auto it = recovered.find(image);
+            if (it == recovered.end()) {
+                testing_durable::writeDirImage(imageDir, image);
+                it = recovered.emplace(image, recoverDir(imageDir)).first;
+            }
+            const Recovered &r = it->second;
+            std::string why = checkRecovered(r, history);
+            if (why.empty() && r.seq < due.synced)
+                why = "recovered seq " + std::to_string(r.seq) +
+                      " loses synced seq " + std::to_string(due.synced);
+            if (why.empty() && r.snapshotSeq < due.snapshotSeq)
+                why = "recovered from snapshot seq " +
+                      std::to_string(r.snapshotSeq) +
+                      ", but one at seq " +
+                      std::to_string(due.snapshotSeq) + " was counted";
+            if (!why.empty())
+                failures.push_back(
+                    "crash after " + std::to_string(k) + " calls" +
+                    (k > 0 ? " (last: " + describe(evs[k - 1]) + ")"
+                           : std::string()) +
+                    (torn ? ", torn WAL tail" : "") + ": " + why);
+        }
+    }
+    EXPECT_TRUE(failures.empty())
+        << failures.size() << " crash images fail; first: "
+        << failures.front();
+    // Distinct images recovered: more than one per WAL record.
+    EXPECT_GT(recovered.size(), ops.size());
 }
 
 } // namespace

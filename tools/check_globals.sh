@@ -34,6 +34,10 @@
 # grammar; the solver.* counters in each context's metrics registry
 # are the only solver totals.
 #
+# Durable files have one path: src/util/durable_file.cc. Any other
+# raw fsync, rename or creating open under src/ would be a second,
+# untested way to make a file durable (DESIGN.md §12).
+#
 # Likewise for the retired second benchmark harness: the four bench/
 # perf tools that duplicated perfbench/ and the google-benchmark
 # dependency (its header, and its find_package in any
@@ -92,6 +96,18 @@ benches="$benches|find_package[(]bench""mark"
 if [ -s "$out" ]; then
     echo "check_globals: retired bench/ perf tools or google-benchmark" \
          "dependency (measure with perfbench/run.py):"
+    sed 's/^/  /' "$out"
+    status=1
+fi
+
+durable="::fs""ync[(]|::re""name[(]|std::filesystem::re""name[(]"
+durable="$durable|O_CR""EAT"
+grep -rn -E "$durable" src 2>/dev/null |
+    grep -v '^src/util/durable_file\.cc:' |
+    grep -v -E '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' >"$out" || true
+if [ -s "$out" ]; then
+    echo "check_globals: raw fsync, rename or creating open outside" \
+         "src/util/durable_file.cc (use the durable:: helpers):"
     sed 's/^/  /' "$out"
     status=1
 fi
