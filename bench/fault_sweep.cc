@@ -95,11 +95,9 @@ run()
 
         if (*sc.faultSpec) {
             fault::applyFaultSpec(sc.faultSpec, *topo);
-            fault::RepairOptions ropts;
-            ropts.faultSpec = sc.faultSpec;
             const auto t0 = std::chrono::steady_clock::now();
             const fault::RepairResult rep = fault::repairSchedule(
-                g, *topo, alloc, tm, cfg, healthy, ropts);
+                g, *topo, alloc, tm, cfg, healthy, sc.faultSpec);
             repairMs =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Incremental rescheduling: re-solve only dirty maximal subsets.
+ * Incremental rescheduling: reroute a few messages and re-solve only
+ * the dirty maximal subsets.
  *
  * Both degraded-mode repair (src/fault) and online admission control
  * (src/online) exploit the same two invariants of the Fig. 3
@@ -13,113 +14,85 @@
  *    subset none of whose members changed (route, bounds, or link
  *    capacity) keeps its transmission segments verbatim.
  *
- * This module owns the shared mechanics: partition the messages into
- * maximal related subsets under a (possibly partially rerouted) path
- * assignment, mark the subsets touched by dirty messages or derated
- * links, run message-interval allocation and interval scheduling on
- * the dirty subsets only, and splice the fresh segments into the
- * prior schedule. Callers keep their own policy (what counts as
- * dirty, fallback strategy, metrics namespaces).
+ * This module is the one place that reroutes and re-solves: greedily
+ * route the listed messages, partition the messages into maximal
+ * related subsets under the resulting path assignment, run
+ * message-interval allocation and interval scheduling on the subsets
+ * touched by dirty messages or derated links only, splice the fresh
+ * segments into the prior schedule, and verify the result. Callers
+ * keep their own policy (what counts as dirty, fallback strategy,
+ * metrics namespaces).
  */
 
 #ifndef SRSIM_CORE_INCREMENTAL_HH_
 #define SRSIM_CORE_INCREMENTAL_HH_
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "core/interval_allocation.hh"
-#include "core/interval_scheduling.hh"
-#include "core/intervals.hh"
-#include "core/path_assignment.hh"
-#include "core/time_bounds.hh"
-#include "topology/topology.hh"
-#include "util/time.hh"
+#include "core/sr_compiler.hh"
 
 namespace srsim {
-
-/** Knobs of one incremental re-solve. */
-struct IncrementalSolveOptions
-{
-    AllocationMethod allocMethod = AllocationMethod::Lp;
-    /**
-     * Scheduling options with packetTime already resolved (the
-     * compiler's effective value, not the raw config).
-     */
-    IntervalSchedulingOptions scheduling;
-    /**
-     * When given, per-(link, interval) capacity honors
-     * Topology::linkCapacity, and subsets touching a derated link
-     * are re-solved even if none of their members is dirty.
-     */
-    const Topology *topo = nullptr;
-    /**
-     * Trace phase prefix: phases are named "<prefix>_allocation"
-     * and "<prefix>_scheduling".
-     */
-    const char *tracePrefix = "incremental";
-    /**
-     * When given, the allocation and scheduling LPs of each dirty
-     * subset warm-start from (and store back to) this basis cache,
-     * so repeated re-solves of structurally unchanged subsets
-     * resume in a handful of pivots. nullptr keeps solves cold.
-     */
-    lp::BasisCache *basisCache = nullptr;
-    /**
-     * Engine context the re-solve runs under (tracer, metrics,
-     * thread pool, solver kind). Propagated into the scheduling
-     * options unless those name their own context. nullptr uses the
-     * process default context.
-     */
-    const engine::EngineContext *ctx = nullptr;
-};
 
 /** Outcome of one incremental re-solve. */
 struct IncrementalSolveResult
 {
+    /**
+     * A verified schedule came out. False means "fall back to a full
+     * compile": a listed message has no surviving route, the greedy
+     * routes exceed the utilization ceiling, a dirty subset is
+     * infeasible, or the spliced schedule failed verification.
+     */
     bool feasible = false;
 
-    /** Subset bookkeeping. */
+    /** Subset bookkeeping (zero when routing already failed). */
     std::size_t subsetsTotal = 0;
     std::size_t subsetsResolved = 0;
     std::size_t subsetsCopied = 0;
 
     /**
-     * Per network-message transmission segments: fresh for members
-     * of re-solved subsets, copied from the prior schedule
-     * otherwise. Sized like bounds.messages.
+     * The spliced schedule at the prior period, without provenance:
+     * fresh segments for members of re-solved subsets, the prior's
+     * otherwise.
      */
-    std::vector<std::vector<TimeWindow>> segments;
-
-    /** Stage that failed when !feasible. */
-    enum class FailedStage { None, Allocation, Scheduling };
-    FailedStage failedStage = FailedStage::None;
-    lp::Status solveStatus = lp::Status::Optimal;
-    /** Human-readable failure description (empty when feasible). */
-    std::string detail;
+    GlobalSchedule omega;
+    VerifyResult verification;
+    /** Peak utilization of omega.paths. */
+    double peakUtilization = 0.0;
 };
 
 /**
- * Re-solve the subsets touched by dirty messages.
+ * Reroute, re-solve the dirty subsets, splice and verify.
  *
- * @param bounds   time bounds of the (new) workload
+ * @param bounds    time bounds of the (new) workload
  * @param intervals interval decomposition of `bounds`
- * @param pa       complete path assignment for the workload
- * @param dirtyMessage per message index: true when the message's
- *        route, bounds, or existence changed — its subset must be
- *        re-solved
- * @param priorSegments per message index: the segments of the prior
- *        schedule (empty vectors for brand-new messages); rows of
- *        clean subsets are copied into the result verbatim
+ * @param prior     the prior schedule re-indexed to bounds.messages:
+ *        its period, and per message the path and segments it had
+ *        (anything for rerouted or brand-new messages)
+ * @param dirty     message indices whose subsets must be re-solved
+ *        although they keep their route (moved bounds)
+ * @param reroute   message indices routed afresh, in this order, by
+ *        greedyRouteMessages(); their subsets are re-solved too
+ * @param basisCache when given, the subset LPs warm-start from (and
+ *        store back to) it; nullptr keeps every solve cold
+ * @param tracePrefix trace phases are "<prefix>_reroute",
+ *        "<prefix>_allocation" and "<prefix>_scheduling"
+ *
+ * Subsets touching a derated link of `topo` are re-solved even when
+ * none of their members is dirty.
  */
 IncrementalSolveResult
-resolveDirtySubsets(const TimeBounds &bounds,
-                    const IntervalSet &intervals,
-                    const PathAssignment &pa,
-                    const std::vector<char> &dirtyMessage,
-                    const std::vector<std::vector<TimeWindow>>
-                        &priorSegments,
-                    const IncrementalSolveOptions &opts);
+resolveIncrementally(const TaskFlowGraph &g, const Topology &topo,
+                     const TaskAllocation &alloc,
+                     const TimeBounds &bounds,
+                     const IntervalSet &intervals,
+                     GlobalSchedule prior,
+                     const std::vector<std::size_t> &dirty,
+                     const std::vector<std::size_t> &reroute,
+                     const SrCompilerConfig &cfg,
+                     const TimingModel &tm,
+                     lp::BasisCache *basisCache,
+                     const char *tracePrefix);
 
 } // namespace srsim
 

@@ -1,6 +1,7 @@
 #include "core/sr_compiler.hh"
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "engine/context.hh"
@@ -361,6 +362,26 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
 
     res.feasible = true;
     return res;
+}
+
+StretchedCompile
+compileStretched(const TaskFlowGraph &g, const Topology &topo,
+                 const TaskAllocation &alloc, const TimingModel &tm,
+                 SrCompilerConfig cfg, Time period,
+                 bool unstretchedFirst)
+{
+    cfg.verify = true;
+    StretchedCompile out;
+    for (std::size_t k = unstretchedFirst ? 0 : 1;
+         k <= std::size(kStretchFactors); ++k) {
+        cfg.inputPeriod =
+            k == 0 ? period : period * kStretchFactors[k - 1];
+        out.period = cfg.inputPeriod;
+        out.compile = compileScheduledRouting(g, topo, alloc, tm, cfg);
+        if (out.compile.feasible)
+            break;
+    }
+    return out;
 }
 
 } // namespace srsim

@@ -127,6 +127,32 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
                         const TimingModel &tm,
                         const SrCompilerConfig &cfg);
 
+/**
+ * Period stretch factors, tried in order on a period at which a
+ * workload is infeasible: by fault repair's stretched recompiles and
+ * by the online service's rejection probe.
+ */
+inline constexpr double kStretchFactors[] = {1.25, 1.5, 2.0, 3.0, 4.0};
+
+/** Outcome of compileStretched(). */
+struct StretchedCompile
+{
+    /** The period compiled at: the first feasible, else the last tried. */
+    Time period = 0.0;
+    SrCompileResult compile;
+};
+
+/**
+ * Compile with verification at period * f for each f of
+ * kStretchFactors in order (after f = 1 when `unstretchedFirst`),
+ * stopping at the first feasible period.
+ */
+StretchedCompile
+compileStretched(const TaskFlowGraph &g, const Topology &topo,
+                 const TaskAllocation &alloc, const TimingModel &tm,
+                 SrCompilerConfig cfg, Time period,
+                 bool unstretchedFirst);
+
 } // namespace srsim
 
 #endif // SRSIM_CORE_SR_COMPILER_HH_

@@ -34,10 +34,6 @@
 
 namespace srsim {
 
-namespace lp {
-class BasisCache;
-}
-
 namespace fault {
 
 /** What happened to one message of the original TFG under repair. */
@@ -51,32 +47,6 @@ enum class MessageFate
 
 /** @return human-readable fate name. */
 const char *messageFateName(MessageFate f);
-
-/** Repair policy knobs. */
-struct RepairOptions
-{
-    /** Try the incremental per-subset repair before recompiling. */
-    bool allowIncremental = true;
-    /** Try stretched periods when the original is infeasible. */
-    bool allowPeriodStretch = true;
-    /** Stretch factors tried in order on the original period. */
-    std::vector<double> stretchFactors = {1.25, 1.5, 2.0, 3.0, 4.0};
-    /** Fault spec recorded on the repaired schedule, if any. */
-    std::string faultSpec;
-    /**
-     * When given, the incremental path's subset LPs warm-start from
-     * (and store back to) this basis cache, so a caller repairing
-     * against a sequence of faults re-solves recurring subsets in a
-     * handful of pivots. nullptr keeps every solve cold.
-     */
-    lp::BasisCache *basisCache = nullptr;
-    /**
-     * Engine context the repair runs under (tracer, metrics,
-     * thread pool, solver kind). Falls back to the compile config's
-     * context, then the process default, when nullptr.
-     */
-    const engine::EngineContext *ctx = nullptr;
-};
 
 /** Outcome of a repair. */
 struct RepairResult
@@ -109,6 +79,8 @@ struct RepairResult
      * MessageId. Identity-free (empty) when nothing was shed.
      */
     std::vector<MessageId> keptMessages;
+    /** After a shedding recompile: the reduced TFG it compiled. */
+    TaskFlowGraph reduced;
 
     /** Subset bookkeeping of the incremental path. */
     std::size_t subsetsTotal = 0;
@@ -124,22 +96,24 @@ struct RepairResult
 
 /**
  * Repair `healthy` (a feasible compile of (g, alloc, tm, cfg) on the
- * healthy fabric) against the already-degraded `topo`.
+ * healthy fabric) against the already-degraded `topo`, recording
+ * `faultSpec` on the repaired schedule.
  *
- * The incremental path runs when no message must be shed: dirty
- * messages (routes crossing a failed or derated resource) are
- * rerouted over the surviving fabric and only the subsets containing
- * them are re-solved. Otherwise — or when the fast path fails — the
- * whole problem is recompiled on the degraded topology (on a reduced
- * TFG when messages were shed), and finally retried at stretched
- * periods. Every produced schedule is re-verified on `topo`.
+ * The incremental path (resolveIncrementally(), cold solves) runs
+ * when no message must be shed: dirty messages (routes crossing a
+ * failed or derated resource) are rerouted over the surviving fabric
+ * and only the subsets containing them are re-solved. Otherwise — or
+ * when the fast path fails — the whole problem is recompiled on the
+ * degraded topology (on a reduced TFG when messages were shed), and
+ * finally retried at the kStretchFactors periods. Every produced
+ * schedule is re-verified on `topo`.
  */
 RepairResult
 repairSchedule(const TaskFlowGraph &g, const Topology &topo,
                const TaskAllocation &alloc, const TimingModel &tm,
                const SrCompilerConfig &cfg,
                const SrCompileResult &healthy,
-               const RepairOptions &opts = {});
+               const std::string &faultSpec);
 
 } // namespace fault
 } // namespace srsim

@@ -99,20 +99,6 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
                     "'; outside the dedicated-AP differential "
                     "domain");
 
-    // From-scratch oracle: compile the workload on a fresh,
-    // identically degraded fabric. 1 = feasible, 0 = infeasible,
-    // -1 = invalid input.
-    const auto oracle = [&](const TaskFlowGraph &g2) {
-        const auto t2 = makeTopology(c.topoSpec);
-        if (!c.faultSpec.empty())
-            fault::applyFaultSpec(c.faultSpec, *t2);
-        const SrCompileResult r =
-            compileScheduledRouting(g2, *t2, alloc, c.tm, cfg);
-        if (r.feasible)
-            return 1;
-        return r.stage == SrFailureStage::InvalidInput ? -1 : 0;
-    };
-
     online::OnlineSchedulerConfig scfg;
     scfg.compiler = cfg;
     // Stretch probing multiplies rejection cost by the factor list
@@ -120,6 +106,25 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
     scfg.probeStretch = false;
     online::OnlineScheduler svc(c.g, std::move(topo), alloc, c.tm,
                                 scfg);
+
+    // From-scratch oracle: compile the workload on a fresh,
+    // identically degraded fabric (the case's faults and every
+    // accepted fault op) at the service's current period, which a
+    // stretched repair may have lengthened. 1 = feasible,
+    // 0 = infeasible, -1 = invalid input.
+    std::string faultAccum = c.faultSpec;
+    const auto oracle = [&](const TaskFlowGraph &g2) {
+        const auto t2 = makeTopology(c.topoSpec);
+        if (!faultAccum.empty())
+            fault::applyFaultSpec(faultAccum, *t2);
+        SrCompilerConfig ocfg = cfg;
+        ocfg.inputPeriod = svc.currentPeriod();
+        const SrCompileResult r =
+            compileScheduledRouting(g2, *t2, alloc, c.tm, ocfg);
+        if (r.feasible)
+            return 1;
+        return r.stage == SrFailureStage::InvalidInput ? -1 : 0;
+    };
 
     // Independent certification of the current published schedule.
     const auto certify = [&](const std::string &ctx) {
@@ -166,11 +171,30 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
         if (!server::parseRequestLine(op, r, &why))
             return invalidCase("malformed churn op '" + op +
                                "': " + why);
-        if (r.kind != online::RequestKind::AdmitMessage &&
-            r.kind != online::RequestKind::RemoveMessage)
+        if (r.kind == online::RequestKind::UpdatePeriod)
             return invalidCase(
-                "churn ops are admit/remove only, got '" + op +
+                "churn ops are admit/remove/fault only, got '" + op +
                 "'");
+
+        if (r.kind == online::RequestKind::InjectFault) {
+            // Repair may shed messages, so an accepted fault resyncs
+            // the mirror from the published workload; a rejected one
+            // must leave the published schedule valid on the fabric.
+            if (svc.process(r).accepted) {
+                faultAccum = faultAccum.empty()
+                                 ? r.faultSpec
+                                 : faultAccum + ";" + r.faultSpec;
+                const TaskFlowGraph &pg = svc.published()->g;
+                msgs.clear();
+                for (const Message &m : pg.messages())
+                    msgs.push_back({m.name, pg.task(m.src).name,
+                                    pg.task(m.dst).name, m.bytes});
+            }
+            if (std::string err = certify("after '" + op + "'");
+                !err.empty())
+                return failure(std::move(err));
+            continue;
+        }
 
         // The mirror after this op, had it been accepted.
         std::vector<MirrorMsg> msgs2 = msgs;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Differential churn runner: replay a case's admit/remove sequence
- * on the online scheduling service against a from-scratch oracle.
+ * Differential churn runner: replay a case's admit/remove/fault
+ * sequence on the online scheduling service against a from-scratch
+ * oracle.
  *
  * The online service promises two things the batch compiler does
  * not: (1) any published schedule is verifier-certified, and (2) a
@@ -11,10 +12,14 @@
  *
  *  - every accepted request's published schedule is re-verified by
  *    the independent static verifier;
- *  - every rejection (other than request validation) is replayed
- *    against a from-scratch compile of the same workload on an
- *    identically degraded fabric — if the oracle compiles, the
- *    service wrongly turned away a feasible admission;
+ *  - every admit/remove rejection (other than request validation)
+ *    is replayed against a from-scratch compile of the same
+ *    workload on an identically degraded fabric at the service's
+ *    current period — if the oracle compiles, the service wrongly
+ *    turned away a feasible admission;
+ *  - a fault op's repair may shed messages (the mirror then resyncs
+ *    from the published workload) or fail; either way the published
+ *    schedule must still certify on the service's fabric;
  *  - the final published schedule is cross-executed by the CP-level
  *    discrete-event simulator and the analytic executor, which must
  *    agree on every invocation completion time.

@@ -88,7 +88,7 @@ struct FuzzCase
      */
     std::string faultSpec;
     /**
-     * Online churn sequence: admit/remove request lines in the
+     * Online churn sequence: admit/remove/fault request lines in the
      * daemon protocol's per-session verb grammar
      * (server::parseRequestLine, e.g. "admit zc0 t2 t5 512"),
      * replayed in order against an OnlineScheduler and

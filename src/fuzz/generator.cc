@@ -171,12 +171,13 @@ generateCase(std::uint64_t seed)
 
     // Churn dimension, drawn after faults so every pre-churn draw
     // above is identical to the earlier generator for the same
-    // seed. A churny case replays admit/remove requests through the
-    // online service (see fuzz/churn.hh) instead of the batch
-    // three-oracle run; the drawn ops are always *well-formed*
-    // (existing tasks, forward edges, no duplicate names) so every
-    // rejection is a schedulability claim the from-scratch oracle
-    // can cross-examine.
+    // seed. A churny case replays admit/remove requests (and at most
+    // one link failure) through the online service (see
+    // fuzz/churn.hh) instead of the batch three-oracle run; the
+    // drawn admits and removes are always *well-formed* (existing
+    // tasks, forward edges, no duplicate names) so every rejection
+    // is a schedulability claim the from-scratch oracle can
+    // cross-examine.
     if (rng.chance(0.35)) {
         const int nops = rng.uniformInt(1, 5);
         std::vector<std::string> live;
@@ -206,6 +207,15 @@ generateCase(std::uint64_t seed)
                 c.g.task(static_cast<TaskId>(b)).name + " " +
                 std::to_string(rng.uniformInt(32, 4096)));
             live.push_back(name);
+        }
+        // At most one link failure among the ops, drawn after every
+        // draw above so those stay identical for the same seed.
+        if (rng.chance(0.3)) {
+            const std::size_t at = rng.index(c.churnOps.size() + 1);
+            c.churnOps.insert(
+                c.churnOps.begin() + static_cast<std::ptrdiff_t>(at),
+                "fault link:#" + std::to_string(rng.uniformInt(
+                                     0, topo->numLinks() - 1)));
         }
     }
     return c;

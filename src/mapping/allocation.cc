@@ -1,6 +1,7 @@
 #include "mapping/allocation.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -77,7 +78,8 @@ roundRobin(const TaskFlowGraph &g, const Topology &topo, int stride)
     TaskAllocation a(g.numTasks(), topo.numNodes());
     const int n = topo.numNodes();
     for (TaskId t = 0; t < g.numTasks(); ++t)
-        a.assign(t, (t * stride) % n);
+        a.assign(t, static_cast<NodeId>(
+                        static_cast<std::int64_t>(t) * stride % n));
     return a;
 }
 
@@ -131,6 +133,49 @@ greedy(const TaskFlowGraph &g, const Topology &topo)
         placed[static_cast<std::size_t>(t)] = best;
     }
     return a;
+}
+
+std::optional<Spec>
+parseSpec(const std::string &text, std::string *err)
+{
+    if (text == "greedy" || text == "random")
+        return Spec{text == "greedy" ? Spec::Kind::Greedy
+                                     : Spec::Kind::Random};
+    if (text.rfind("rr:", 0) != 0) {
+        *err = "unknown alloc kind '" + text +
+               "' (greedy | random | rr:<stride>)";
+        return std::nullopt;
+    }
+    // Digits only, saturating just past INT_MAX so that no stride,
+    // however long, overflows the accumulator.
+    const long long cap = std::numeric_limits<int>::max();
+    long long stride = text.size() > 3 ? 0 : -1;
+    for (std::size_t i = 3; i < text.size() && stride >= 0; ++i)
+        stride = text[i] >= '0' && text[i] <= '9'
+                     ? std::min(stride * 10 + (text[i] - '0'), cap + 1)
+                     : -1;
+    if (stride < 1 || stride > cap) {
+        *err = "round-robin stride must be an integer from 1 to " +
+               std::to_string(cap) + ", got '" + text.substr(3) + "'";
+        return std::nullopt;
+    }
+    return Spec{Spec::Kind::RoundRobin, static_cast<int>(stride)};
+}
+
+TaskAllocation
+fromSpec(const std::string &text, const TaskFlowGraph &g,
+         const Topology &topo, std::uint64_t seed)
+{
+    std::string err;
+    const std::optional<Spec> spec = parseSpec(text, &err);
+    if (!spec)
+        fatal(err);
+    if (spec->kind == Spec::Kind::RoundRobin)
+        return roundRobin(g, topo, spec->stride);
+    if (spec->kind == Spec::Kind::Greedy)
+        return greedy(g, topo);
+    Rng rng(seed);
+    return random(g, topo, rng);
 }
 
 } // namespace alloc

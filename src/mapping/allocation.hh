@@ -12,6 +12,9 @@
 #ifndef SRSIM_MAPPING_ALLOCATION_HH_
 #define SRSIM_MAPPING_ALLOCATION_HH_
 
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "tfg/tfg.hh"
@@ -74,6 +77,31 @@ random(const TaskFlowGraph &g, const Topology &topo, Rng &rng);
  * bytes x hop-distance to its already-placed neighbours.
  */
 TaskAllocation greedy(const TaskFlowGraph &g, const Topology &topo);
+
+/** A parsed allocator spec: `greedy`, `random` or `rr:<stride>`. */
+struct Spec
+{
+    enum class Kind { Greedy, Random, RoundRobin };
+    Kind kind = Kind::Greedy;
+    /** Round-robin stride, from 1 to INT_MAX. */
+    int stride = 1;
+};
+
+/**
+ * Parse an allocator spec; the stride is decimal digits only. On
+ * anything else (an unknown kind, a stride of 0 or one that does
+ * not fit an int) returns nullopt and sets `*err`.
+ */
+std::optional<Spec> parseSpec(const std::string &text,
+                              std::string *err);
+
+/**
+ * The allocation the spec `text` names (`seed` seeds `random`).
+ * FatalError when `text` does not parse.
+ */
+TaskAllocation fromSpec(const std::string &text,
+                        const TaskFlowGraph &g, const Topology &topo,
+                        std::uint64_t seed);
 
 } // namespace alloc
 

@@ -12,6 +12,7 @@
 #include "solver/revised.hh"
 #include "core/verifier.hh"
 #include "fault/fault.hh"
+#include "fault/repair.hh"
 #include "metrics/metrics.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
@@ -137,11 +138,29 @@ OnlineScheduler::published() const
 
 void
 OnlineScheduler::publish(std::shared_ptr<PublishedState> next,
-                         Time period)
+                         bool periodRequested)
 {
+    // Provenance is stamped here and only here, so it cannot depend
+    // on which path (incremental, full compile, cache hit, repair)
+    // served the request. A requested period clears degradedFrom;
+    // otherwise the same period keeps the prior's, and a longer one
+    // (a stretched repair) keeps the earliest healthy period. The
+    // first publish (start, restore) carries its own.
+    GlobalSchedule &omega = next->omega;
+    if (const auto prior = published()) {
+        const GlobalSchedule &p = prior->omega;
+        omega.faultSpec = faultSpecAccum_;
+        if (periodRequested)
+            omega.degradedFrom = 0.0;
+        else if (omega.period == p.period)
+            omega.degradedFrom = p.degradedFrom;
+        else
+            omega.degradedFrom =
+                p.degradedFrom > 0.0 ? p.degradedFrom : p.period;
+    }
     next->version = ++version_;
     g_ = next->g;
-    cfg_.compiler.inputPeriod = period;
+    cfg_.compiler.inputPeriod = omega.period;
     std::lock_guard<std::mutex> lock(mu_);
     state_ = std::move(next);
 }
@@ -184,26 +203,6 @@ OnlineScheduler::finish(RequestResult res, const char *what,
     return res;
 }
 
-Time
-OnlineScheduler::probeStretchedPeriods(const TaskFlowGraph &g2,
-                                       Time period)
-{
-    const engine::EngineContext &ectx =
-        engine::resolve(cfg_.compiler.ctx);
-    trace::ScopedPhase phase("online_stretch_probe", ectx.tracer(),
-                             ectx.metricsRegistry());
-    for (double f : cfg_.stretchFactors) {
-        SrCompilerConfig ccfg = cfg_.compiler;
-        ccfg.inputPeriod = period * f;
-        ccfg.verify = true;
-        const SrCompileResult attempt = compileScheduledRouting(
-            g2, *topo_, alloc_, tm_, ccfg);
-        if (attempt.feasible)
-            return ccfg.inputPeriod;
-    }
-    return 0.0;
-}
-
 void
 OnlineScheduler::classifyRejection(const SrCompileResult &compile,
                                    const TaskFlowGraph &g2,
@@ -233,12 +232,18 @@ OnlineScheduler::classifyRejection(const SrCompileResult &compile,
     if (cfg_.probeStretch &&
         (res.reason == RejectReason::UtilizationCeiling ||
          res.reason == RejectReason::InfeasibleSubset)) {
-        const Time p = probeStretchedPeriods(g2, period);
-        if (p > 0.0) {
+        const engine::EngineContext &ectx =
+            engine::resolve(cfg_.compiler.ctx);
+        trace::ScopedPhase phase("online_stretch_probe",
+                                 ectx.tracer(),
+                                 ectx.metricsRegistry());
+        const StretchedCompile sc = compileStretched(
+            g2, *topo_, alloc_, tm_, cfg_.compiler, period, false);
+        if (sc.compile.feasible) {
             res.reason = RejectReason::PeriodStretchRequired;
-            res.requiredPeriod = p;
+            res.requiredPeriod = sc.period;
             std::ostringstream oss;
-            oss << res.detail << "; feasible at period " << p
+            oss << res.detail << "; feasible at period " << sc.period
                 << " us";
             res.detail = oss.str();
         }
@@ -296,7 +301,6 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
         next->g = g2;
         next->bounds = std::move(bounds2);
         next->omega.period = period;
-        next->omega.faultSpec = faultSpecAccum_;
         next->verification.ok = true;
         out.ok = true;
         out.next = std::move(next);
@@ -316,17 +320,12 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
             next->g = g2;
             next->bounds = std::move(bounds2);
             next->intervals.emplace(next->bounds);
+            // publish() stamps this session's own provenance: on a
+            // shared cache the entry may have been compiled by a
+            // session whose fault-spec string or stretch history
+            // differs even though the canonical key, and hence the
+            // schedule, is identical.
             next->omega = e->omega;
-            // Stamp this session's own provenance: on a shared
-            // cache the entry may have been compiled by a session
-            // whose fault-spec *string* (or stretch history)
-            // differs even though the canonical key — and hence the
-            // schedule — is identical. Republishing must serialize
-            // exactly what a no-cache solve would have.
-            next->omega.faultSpec = faultSpecAccum_;
-            if (const auto prior = published())
-                next->omega.degradedFrom =
-                    prior->omega.degradedFrom;
             next->verification.ok = true;
             next->numSubsets = e->numSubsets;
             next->peakUtilization = e->peakUtilization;
@@ -359,101 +358,65 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
                        .message(prior->bounds.messages[j].msg)
                        .name] = j;
 
+        // The prior schedule re-indexed to the new workload.
         const std::size_t n2 = bounds2.messages.size();
-        PathAssignment pa2;
-        pa2.paths.resize(n2);
-        std::vector<char> dirty(n2, 0);
-        std::vector<std::vector<TimeWindow>> priorSegs(n2);
-        std::vector<std::size_t> routeIdx;
+        GlobalSchedule reindexed;
+        reindexed.period = period;
+        reindexed.paths.paths.resize(n2);
+        reindexed.segments.resize(n2);
+        std::vector<std::size_t> moved, routeIdx;
         for (std::size_t i = 0; i < n2; ++i) {
             const MessageBounds &nb = bounds2.messages[i];
             const auto it =
                 oldIdx.find(g2.message(nb.msg).name);
             if (it == oldIdx.end()) {
                 // Brand new: needs a route and a fresh solve.
-                dirty[i] = 1;
                 routeIdx.push_back(i);
                 continue;
             }
             const std::size_t j = it->second;
-            pa2.paths[i] = prior->omega.paths.pathFor(j);
-            priorSegs[i] = prior->omega.segments[j];
-            if (!topo_->pathAlive(pa2.paths[i]) ||
-                topo_->crossesDerated(pa2.paths[i])) {
+            const Path &path = prior->omega.paths.pathFor(j);
+            reindexed.paths.paths[i] = path;
+            reindexed.segments[i] = prior->omega.segments[j];
+            if (!topo_->pathAlive(path) ||
+                topo_->crossesDerated(path)) {
                 // Route crosses a failed/derated resource:
                 // reroute it like fault repair would.
-                dirty[i] = 1;
                 routeIdx.push_back(i);
             } else if (!boundsEqual(
                            nb, prior->bounds.messages[j])) {
                 // Same route, moved windows: subsets re-solve.
-                dirty[i] = 1;
+                moved.push_back(i);
             }
         }
 
-        bool incrementalViable = true;
-        if (!routeIdx.empty()) {
-            const GreedyRouteResult gr = greedyRouteMessages(
-                g2, *topo_, alloc_, bounds2, ivs2, routeIdx,
-                ccfg.assign.maxPathsPerMessage, pa2);
-            // On failure (disconnected endpoints, or greedy routes
-            // bust the utilization ceiling where a global re-route
-            // might not) fall back to the full compiler so the
-            // accept/reject verdict matches a from-scratch compile.
-            if (!gr.ok || gr.report.peak > 1.0 + 1e-9)
-                incrementalViable = false;
-        }
-
-        if (incrementalViable) {
-            IncrementalSolveOptions iopts;
-            iopts.allocMethod = ccfg.allocMethod;
-            iopts.scheduling = ccfg.scheduling;
-            iopts.scheduling.packetTime = ptime;
-            iopts.topo = topo_.get();
-            iopts.tracePrefix = "online";
-            iopts.basisCache = basisCache_.get();
-            iopts.ctx = cfg_.compiler.ctx;
-            const IncrementalSolveResult inc = resolveDirtySubsets(
-                bounds2, ivs2, pa2, dirty, priorSegs, iopts);
-            if (inc.feasible) {
-                GlobalSchedule omega2;
-                omega2.period = period;
-                omega2.paths = pa2;
-                omega2.segments = inc.segments;
-                omega2.faultSpec = faultSpecAccum_;
-                omega2.degradedFrom = prior->omega.degradedFrom;
-                const VerifyResult ver = verifySchedule(
-                    g2, *topo_, alloc_, bounds2, omega2);
-                if (ver.ok) {
-                    const double peak =
-                        UtilizationAnalyzer(bounds2, ivs2, *topo_)
-                            .analyze(pa2)
-                            .peak;
-                    auto next =
-                        std::make_shared<PublishedState>();
-                    next->g = g2;
-                    next->bounds = std::move(bounds2);
-                    next->intervals = std::move(ivs2);
-                    next->omega = std::move(omega2);
-                    next->verification = ver;
-                    next->numSubsets = inc.subsetsTotal;
-                    next->peakUtilization = peak;
-                    res.usedIncremental = true;
-                    res.subsetsTotal = inc.subsetsTotal;
-                    res.subsetsResolved = inc.subsetsResolved;
-                    res.subsetsCopied = inc.subsetsCopied;
-                    res.peakUtilization = next->peakUtilization;
-                    if (cfg_.cacheCapacity > 0)
-                        cache_->insert(
-                            key, {next->omega, next->numSubsets,
-                                  next->peakUtilization});
-                    out.ok = true;
-                    out.next = std::move(next);
-                    return out;
-                }
-            }
-            // Incremental produced nothing publishable; the full
-            // compiler gets the final word below.
+        // Anything short of a verified schedule (no route, a greedy
+        // ceiling bust, an infeasible subset) leaves the verdict to
+        // the full compiler below, so accept/reject matches a
+        // from-scratch compile.
+        IncrementalSolveResult inc = resolveIncrementally(
+            g2, *topo_, alloc_, bounds2, ivs2, std::move(reindexed),
+            moved, routeIdx, ccfg, tm_, basisCache_.get(), "online");
+        if (inc.feasible) {
+            auto next = std::make_shared<PublishedState>();
+            next->g = g2;
+            next->bounds = std::move(bounds2);
+            next->intervals = std::move(ivs2);
+            next->omega = std::move(inc.omega);
+            next->verification = std::move(inc.verification);
+            next->numSubsets = inc.subsetsTotal;
+            next->peakUtilization = inc.peakUtilization;
+            res.usedIncremental = true;
+            res.subsetsTotal = inc.subsetsTotal;
+            res.subsetsResolved = inc.subsetsResolved;
+            res.subsetsCopied = inc.subsetsCopied;
+            res.peakUtilization = next->peakUtilization;
+            if (cfg_.cacheCapacity > 0)
+                cache_->insert(key, {next->omega, next->numSubsets,
+                                     next->peakUtilization});
+            out.ok = true;
+            out.next = std::move(next);
+            return out;
         }
     }
 
@@ -475,7 +438,6 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
     if (comp.intervals)
         next->intervals = std::move(*comp.intervals);
     next->omega = std::move(comp.omega);
-    next->omega.faultSpec = faultSpecAccum_;
     next->verification = comp.verification;
     next->numSubsets = comp.numSubsets;
     next->peakUtilization = comp.utilization.peak;
@@ -506,7 +468,7 @@ OnlineScheduler::start()
         solveWorkload(g_, cfg_.compiler.inputPeriod, false);
     res = out.res;
     if (out.ok) {
-        publish(std::move(out.next), res.period);
+        publish(std::move(out.next), false);
         res.accepted = true;
     }
     return finish(res, "start", t0, false);
@@ -586,7 +548,7 @@ OnlineScheduler::restore(const GlobalSchedule &omega,
     res.subsetsCopied = next->numSubsets;
     res.peakUtilization = next->peakUtilization;
     faultSpecAccum_ = faultSpecAccum;
-    publish(std::move(next), omega.period);
+    publish(std::move(next), false);
     res.accepted = true;
     return finish(res, "restore", t0, false);
 }
@@ -662,7 +624,7 @@ OnlineScheduler::admitBatch(const std::vector<AdmitSpec> &specs)
         solveWorkload(g2, cfg_.compiler.inputPeriod, true);
     res = out.res;
     if (out.ok) {
-        publish(std::move(out.next), res.period);
+        publish(std::move(out.next), false);
         res.accepted = true;
         metrics::Registry &reg =
             engine::resolve(cfg_.compiler.ctx).metricsRegistry();
@@ -703,7 +665,7 @@ OnlineScheduler::remove(const std::string &msgName)
         solveWorkload(g2, cfg_.compiler.inputPeriod, true);
     res = out.res;
     if (out.ok) {
-        publish(std::move(out.next), res.period);
+        publish(std::move(out.next), false);
         res.accepted = true;
         metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
              "online.removed");
@@ -733,7 +695,7 @@ OnlineScheduler::updatePeriod(Time period)
     SolveOutcome out = solveWorkload(g_, period, false);
     res = out.res;
     if (out.ok) {
-        publish(std::move(out.next), period);
+        publish(std::move(out.next), true);
         res.accepted = true;
         res.period = period;
         metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
@@ -795,15 +757,11 @@ OnlineScheduler::injectFault(const std::string &spec)
     healthy.verification = prior->verification;
     healthy.numSubsets = prior->numSubsets;
 
-    SrCompilerConfig ccfg = cfg_.compiler;
-    fault::RepairOptions ropts = cfg_.repair;
     const std::string accum2 =
         faultSpecAccum_.empty() ? spec
                                 : faultSpecAccum_ + ";" + spec;
-    ropts.faultSpec = accum2;
-
     const fault::RepairResult rep = fault::repairSchedule(
-        prior->g, *topo_, alloc_, tm_, ccfg, healthy, ropts);
+        prior->g, *topo_, alloc_, tm_, cfg_.compiler, healthy, accum2);
     res.subsetsTotal = rep.subsetsTotal;
     res.subsetsResolved = rep.subsetsResolved;
     res.subsetsCopied = rep.subsetsReused;
@@ -821,18 +779,8 @@ OnlineScheduler::injectFault(const std::string &spec)
 
     faultSpecAccum_ = accum2;
     auto next = std::make_shared<PublishedState>();
-    if (rep.shedMessages.empty()) {
-        next->g = prior->g;
-    } else {
-        // Shed messages leave the workload for good.
-        for (const Task &t : prior->g.tasks())
-            next->g.addTask(t.name, t.operations);
-        for (const Message &m : prior->g.messages())
-            if (std::find(rep.shedMessages.begin(),
-                          rep.shedMessages.end(),
-                          m.id) == rep.shedMessages.end())
-                next->g.addMessage(m.name, m.src, m.dst, m.bytes);
-    }
+    // Shed messages leave the workload for good.
+    next->g = rep.shedMessages.empty() ? prior->g : rep.reduced;
     if (rep.usedIncremental) {
         next->bounds = prior->bounds;
         if (prior->intervals)
@@ -855,7 +803,7 @@ OnlineScheduler::injectFault(const std::string &spec)
     res.peakUtilization = next->peakUtilization;
     res.period = rep.degradedPeriod;
 
-    publish(std::move(next), rep.degradedPeriod);
+    publish(std::move(next), false);
     res.accepted = true;
     metrics::bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
          "online.faults_injected");

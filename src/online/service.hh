@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/sr_compiler.hh"
-#include "fault/repair.hh"
 #include "mapping/allocation.hh"
 #include "online/cache.hh"
 #include "online/requests.hh"
@@ -62,14 +61,11 @@ struct OnlineSchedulerConfig
      */
     std::shared_ptr<ScheduleCache> sharedCache;
     /**
-     * Probe stretched periods on rejection so the caller learns the
-     * smallest feasible period (RejectReason::PeriodStretchRequired).
+     * Probe the kStretchFactors periods on rejection so the caller
+     * learns the smallest feasible one
+     * (RejectReason::PeriodStretchRequired).
      */
     bool probeStretch = true;
-    /** Stretch factors probed in order on the current period. */
-    std::vector<double> stretchFactors = {1.25, 1.5, 2.0, 3.0, 4.0};
-    /** Fault-repair policy for InjectFault requests. */
-    fault::RepairOptions repair;
 };
 
 /** One immutable published snapshot of the service's schedule. */
@@ -150,11 +146,11 @@ class OnlineScheduler
                          double startUs, bool admission);
     SolveOutcome solveWorkload(const TaskFlowGraph &g2, Time period,
                                bool allowIncremental);
-    void publish(std::shared_ptr<PublishedState> next, Time period);
+    void publish(std::shared_ptr<PublishedState> next,
+                 bool periodRequested);
     void classifyRejection(const SrCompileResult &compile,
                            const TaskFlowGraph &g2, Time period,
                            RequestResult &res);
-    Time probeStretchedPeriods(const TaskFlowGraph &g2, Time period);
 
     TaskFlowGraph g_;
     std::unique_ptr<Topology> topo_;

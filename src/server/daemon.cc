@@ -51,22 +51,6 @@ effectiveTiming(const SessionConfig &sc)
     return tm;
 }
 
-TaskAllocation
-buildAllocation(const SessionConfig &sc, const TaskFlowGraph &g,
-                const Topology &topo)
-{
-    if (sc.alloc == "greedy")
-        return alloc::greedy(g, topo);
-    if (sc.alloc == "random") {
-        Rng rng(sc.seed);
-        return alloc::random(g, topo, rng);
-    }
-    if (sc.alloc.rfind("rr:", 0) == 0)
-        return alloc::roundRobin(g, topo,
-                                 std::stoi(sc.alloc.substr(3)));
-    fatal("unknown alloc kind '", sc.alloc, "'");
-}
-
 } // namespace
 
 std::shared_ptr<engine::EngineContext>
@@ -150,7 +134,8 @@ SchedulingDaemon::buildService(const SessionConfig &sc, Time period,
     TaskFlowGraph g = buildWorkload(sc);
     auto topo = makeTopology(sc.topo);
     const TimingModel tm = effectiveTiming(sc);
-    const TaskAllocation alloc = buildAllocation(sc, g, *topo);
+    const TaskAllocation alloc =
+        alloc::fromSpec(sc.alloc, g, *topo, sc.seed);
     online::OnlineSchedulerConfig ocfg;
     ocfg.compiler.ctx = ctx;
     ocfg.compiler.inputPeriod = period;

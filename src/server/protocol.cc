@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "mapping/allocation.hh"
+
 namespace srsim {
 namespace server {
 
@@ -17,23 +19,6 @@ parseNumber(const std::string &s, double *out)
         return false;
     *out = v;
     return true;
-}
-
-bool
-validAllocKind(const std::string &kind)
-{
-    if (kind == "greedy" || kind == "random")
-        return true;
-    if (kind.rfind("rr:", 0) == 0) {
-        const std::string n = kind.substr(3);
-        if (n.empty())
-            return false;
-        for (char c : n)
-            if (c < '0' || c > '9')
-                return false;
-        return true;
-    }
-    return false;
 }
 
 /**
@@ -99,11 +84,8 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
             }
             sc.apSpeed = num;
         } else if (key == "alloc") {
-            if (!validAllocKind(val)) {
-                *err = "unknown alloc kind '" + val +
-                       "' (greedy | random | rr:<stride>)";
+            if (!alloc::parseSpec(val, err))
                 return false;
-            }
             sc.alloc = val;
         } else if (key == "seed") {
             if (!parseNumber(val, &num) || num < 0.0) {

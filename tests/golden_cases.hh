@@ -107,10 +107,8 @@ compileGoldenCase(const GoldenCase &gc,
     }
 
     fault::applyFaultSpec(gc.faultSpec, *topo);
-    fault::RepairOptions ropts;
-    ropts.faultSpec = gc.faultSpec;
-    const fault::RepairResult rep =
-        fault::repairSchedule(g, *topo, alloc, tm, cfg, r, ropts);
+    const fault::RepairResult rep = fault::repairSchedule(
+        g, *topo, alloc, tm, cfg, r, gc.faultSpec);
     if (!rep.feasible)
         fatal("golden case '", gc.name,
               "' repair infeasible: ", rep.detail);

@@ -70,9 +70,12 @@ churnCases()
     return cases;
 }
 
-/** A fresh service on the fig10 figure configuration. */
+/**
+ * A fresh service on the fig10 figure configuration, at
+ * `periodFactor` * tau_c.
+ */
 inline std::unique_ptr<online::OnlineScheduler>
-makeChurnService()
+makeChurnService(double periodFactor = 2.4)
 {
     const DvbParams dvb;
     TaskFlowGraph g = buildDvbTfg(dvb);
@@ -82,7 +85,7 @@ makeChurnService()
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
     online::OnlineSchedulerConfig cfg;
-    cfg.compiler.inputPeriod = 2.4 * tm.tauC(g);
+    cfg.compiler.inputPeriod = periodFactor * tm.tauC(g);
     return std::make_unique<online::OnlineScheduler>(
         std::move(g), std::move(topo), alloc, tm, cfg);
 }

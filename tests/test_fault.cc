@@ -71,10 +71,8 @@ struct Dvb444
     repair(const std::string &spec)
     {
         fault::applyFaultSpec(spec, *topo);
-        fault::RepairOptions opts;
-        opts.faultSpec = spec;
         return fault::repairSchedule(g, *topo, alloc, tm, cfg,
-                                     healthy, opts);
+                                     healthy, spec);
     }
 };
 

@@ -176,9 +176,10 @@ TEST(FuzzShrinkTest, ReturnsOriginalWhenNothingRemovable)
 TEST(FuzzGeneratorTest, SomeSeedsCarryChurnOps)
 {
     // The churn dimension must actually be exercised: over a window
-    // of seeds, some cases carry admit/remove sequences and the ops
-    // are well-formed request lines.
-    std::size_t churny = 0, batch = 0;
+    // of seeds, some cases carry admit/remove sequences, some of
+    // them one link failure (never more), and the ops are
+    // well-formed request lines.
+    std::size_t churny = 0, batch = 0, faulted = 0;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
         const fuzz::FuzzCase c = fuzz::generateCase(seed);
         if (c.churnOps.empty()) {
@@ -186,14 +187,21 @@ TEST(FuzzGeneratorTest, SomeSeedsCarryChurnOps)
             continue;
         }
         ++churny;
-        for (const std::string &op : c.churnOps)
+        std::size_t faults = 0;
+        for (const std::string &op : c.churnOps) {
+            faults += op.rfind("fault link:#", 0) == 0;
             EXPECT_TRUE(op.rfind("admit ", 0) == 0 ||
-                        op.rfind("remove ", 0) == 0)
+                        op.rfind("remove ", 0) == 0 ||
+                        op.rfind("fault link:#", 0) == 0)
                 << "seed " << seed << ": odd churn op '" << op
                 << "'";
+        }
+        EXPECT_LE(faults, 1u) << "seed " << seed;
+        faulted += faults;
     }
     EXPECT_GT(churny, 0u);
     EXPECT_GT(batch, 0u);
+    EXPECT_GT(faulted, 0u);
 }
 
 TEST(FuzzCaseTest, ChurnOpsRoundTripThroughText)

@@ -3,6 +3,8 @@
  * Tests for task allocation and the allocator heuristics.
  */
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -79,6 +81,48 @@ TEST(AllocatorTest, RoundRobinWrapsModNodes)
     const TaskAllocation a = alloc::roundRobin(g, c, 1);
     EXPECT_EQ(a.nodeOf(9), 1); // 9 mod 8
     EXPECT_TRUE(a.complete());
+}
+
+TEST(AllocatorTest, RoundRobinLargestStrideDoesNotOverflow)
+{
+    const TaskFlowGraph g = chain3();
+    const auto c = GeneralizedHypercube::binaryCube(3);
+    const int stride = std::numeric_limits<int>::max();
+    const TaskAllocation a = alloc::roundRobin(g, c, stride);
+    for (TaskId t = 0; t < 3; ++t)
+        EXPECT_EQ(a.nodeOf(t), static_cast<NodeId>(
+                                   std::int64_t{t} * stride % 8));
+}
+
+TEST(AllocatorSpec, ParsesEveryKind)
+{
+    std::string err;
+    EXPECT_EQ(alloc::parseSpec("greedy", &err)->kind,
+              alloc::Spec::Kind::Greedy);
+    EXPECT_EQ(alloc::parseSpec("random", &err)->kind,
+              alloc::Spec::Kind::Random);
+    const auto rr = alloc::parseSpec("rr:13", &err);
+    ASSERT_TRUE(rr);
+    EXPECT_EQ(rr->kind, alloc::Spec::Kind::RoundRobin);
+    EXPECT_EQ(rr->stride, 13);
+    EXPECT_EQ(alloc::parseSpec("rr:0002147483647", &err)->stride,
+              std::numeric_limits<int>::max());
+}
+
+TEST(AllocatorSpec, RejectsBadStridesAndKinds)
+{
+    for (const char *bad :
+         {"rr:0", "rr:000", "rr:", "rr:-1", "rr:+3", "rr:1x",
+          "rr:2147483648", "rr:99999999999",
+          "rr:99999999999999999999999999", "roundrobin", ""}) {
+        std::string err;
+        EXPECT_FALSE(alloc::parseSpec(bad, &err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+    const TaskFlowGraph g = chain3();
+    const auto c = GeneralizedHypercube::binaryCube(3);
+    EXPECT_THROW(alloc::fromSpec("rr:0", g, c, 1), FatalError);
+    EXPECT_EQ(alloc::fromSpec("rr:3", g, c, 1).nodeOf(2), 6);
 }
 
 TEST(AllocatorTest, RandomUsesDistinctNodesWhenPossible)

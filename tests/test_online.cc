@@ -3,24 +3,28 @@
  * Online scheduling service suite (label: online).
  *
  * Pins the golden churn scenarios byte-for-byte against
- * tests/golden/churn-*.sched, then asserts the *mechanics* the
- * bytes cannot show: single admissions re-solve only the touched
- * maximal related subsets (>= 80% copied verbatim on the 4x4x4
- * torus figure config), re-admissions hit the schedule cache,
- * removals round-trip to the original schedule, every published
- * schedule is verifier-certified at the original period, the
- * online.* / repair.* counters account for the work, rejections
- * carry structured reasons, and the whole request pipeline is
+ * tests/golden/churn-*.sched and the fault goldens
+ * (tests/golden/fault-*.sched) through injectFault, then asserts
+ * the *mechanics* the bytes cannot show: single admissions re-solve
+ * only the touched maximal related subsets (>= 80% copied verbatim
+ * on the 4x4x4 torus figure config), re-admissions hit the schedule
+ * cache, removals round-trip to the original schedule, every
+ * published schedule is verifier-certified at the original period,
+ * the online.* / repair.* counters account for the work, rejections
+ * carry structured reasons, degradedFrom follows the request rather
+ * than the path that served it, and the whole request pipeline is
  * deterministic.
  */
 
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "golden_cases.hh"
 #include "golden_churn.hh"
 #include "metrics/metrics.hh"
 
@@ -82,6 +86,59 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, GoldenChurn,
     ::testing::ValuesIn(golden::churnCases()),
     [](const ::testing::TestParamInfo<golden::ChurnCase> &info) {
+        std::string n = info.param.name;
+        for (char &c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });
+
+std::vector<golden::GoldenCase>
+faultGoldenCases()
+{
+    std::vector<golden::GoldenCase> out;
+    for (const golden::GoldenCase &gc : golden::goldenCases())
+        if (gc.faultSpec[0] != '\0')
+            out.push_back(gc);
+    return out;
+}
+
+std::string
+scheduleText(const online::OnlineScheduler &svc)
+{
+    std::ostringstream os;
+    writeSchedule(os, svc.published()->omega);
+    return os.str();
+}
+
+class GoldenFaultService
+    : public ::testing::TestWithParam<golden::GoldenCase>
+{};
+
+/**
+ * The service's fault path reproduces the batch repair's pinned
+ * fault goldens: every case but the node death (which sheds and
+ * recompiles) through the incremental repair.
+ */
+TEST_P(GoldenFaultService, MatchesPinnedBytes)
+{
+    const golden::GoldenCase gc = GetParam();
+    const std::string path =
+        std::string(SRSIM_GOLDEN_DIR) + "/" + gc.name + ".sched";
+    const std::string want = readFileOrEmpty(path);
+    ASSERT_FALSE(want.empty()) << "missing golden file " << path;
+    const auto svc = golden::makeChurnService();
+    ASSERT_TRUE(svc->start().accepted);
+    const RequestResult r = svc->injectFault(gc.faultSpec);
+    ASSERT_TRUE(r.accepted) << r.detail;
+    EXPECT_EQ(r.usedIncremental, std::string(gc.name) != "fault-node");
+    EXPECT_EQ(want, scheduleText(*svc));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, GoldenFaultService,
+    ::testing::ValuesIn(faultGoldenCases()),
+    [](const ::testing::TestParamInfo<golden::GoldenCase> &info) {
         std::string n = info.param.name;
         for (char &c : n)
             if (c == '-')
@@ -438,6 +495,85 @@ TEST(OnlinePeriod, UpdatePeriodRepublishes)
     const RequestResult back = svc->updatePeriod(p0);
     ASSERT_TRUE(back.accepted) << back.detail;
     EXPECT_TRUE(back.usedCache);
+}
+
+/**
+ * Derate to 0.3 the 8 links from the `skip`-th lowest-numbered on
+ * that the published schedule uses.
+ */
+RequestResult
+derateUsedLinks(online::OnlineScheduler &svc, std::size_t skip)
+{
+    std::set<LinkId> used;
+    for (const Path &p : svc.published()->omega.paths.paths)
+        used.insert(p.links.begin(), p.links.end());
+    std::string spec;
+    int n = 0;
+    for (auto it = std::next(used.begin(), skip);
+         it != used.end() && n < 8; ++it, ++n)
+        spec += (n ? ";" : "") +
+                ("derate:#" + std::to_string(*it) + "=0.3");
+    return svc.injectFault(spec);
+}
+
+/**
+ * The fig10 service at 1.2 tau_c (60 us) after derating the first 8
+ * used links: the repair stretches the period to 75 us.
+ */
+std::unique_ptr<online::OnlineScheduler>
+stretchedService()
+{
+    auto svc = golden::makeChurnService(1.2);
+    EXPECT_TRUE(svc->start().accepted);
+    const RequestResult r = derateUsedLinks(*svc, 0);
+    EXPECT_TRUE(r.accepted) << r.detail;
+    EXPECT_DOUBLE_EQ(svc->published()->omega.period, 75.0);
+    EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom, 60.0);
+    return svc;
+}
+
+/**
+ * degradedFrom depends on what a request does, not on which path
+ * served it: a publish at the same period keeps it (here through
+ * the incremental repair), a second stretch keeps the earliest
+ * healthy period, and a requested period clears it whether it is
+ * compiled or served from the cache.
+ */
+TEST(OnlineProvenance, DegradedFromFollowsTheRequestNotThePath)
+{
+    {
+        const auto svc = stretchedService();
+        ASSERT_TRUE(derateUsedLinks(*svc, 16).accepted);
+        const RequestResult r = derateUsedLinks(*svc, 32);
+        ASSERT_TRUE(r.accepted) << r.detail;
+        EXPECT_DOUBLE_EQ(svc->published()->omega.period, 112.5);
+        EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom, 60.0);
+    }
+    {
+        const auto svc = stretchedService();
+        const RequestResult r = svc->injectFault("link:#4");
+        ASSERT_TRUE(r.accepted) << r.detail;
+        EXPECT_TRUE(r.usedIncremental);
+        EXPECT_DOUBLE_EQ(svc->published()->omega.period, 75.0);
+        EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom, 60.0);
+    }
+    for (const bool viaCache : {false, true}) {
+        const auto svc = stretchedService();
+        if (viaCache) {
+            ASSERT_TRUE(
+                svc->admit({"x0", "probe", "verify", 256}).accepted);
+            EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom,
+                             60.0);
+            ASSERT_TRUE(svc->remove("x0").accepted);
+            EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom,
+                             60.0);
+        }
+        const RequestResult r = svc->updatePeriod(75.0);
+        ASSERT_TRUE(r.accepted) << r.detail;
+        EXPECT_EQ(r.usedCache, viaCache);
+        EXPECT_DOUBLE_EQ(svc->published()->omega.degradedFrom, 0.0)
+            << (viaCache ? "cache hit" : "full compile");
+    }
 }
 
 } // namespace

@@ -277,6 +277,26 @@ TEST(ServerProtocol, RejectsMalformedLines)
     }
 }
 
+/** A round-robin stride that is 0 or does not fit an int is a script error. */
+TEST(ServerProtocol, RejectsOutOfRangeRoundRobinStrides)
+{
+    for (const char *stride : {"0", "99999999999", "2147483648"}) {
+        std::istringstream is(
+            std::string("# open with a bad stride\n"
+                        "open s topo=torus:4,4,4 period=300 bw=128 "
+                        "alloc=rr:") +
+            stride + "\n");
+        const server::DaemonScriptParseResult r =
+            server::parseDaemonScript(is);
+        EXPECT_FALSE(r.ok) << stride;
+        EXPECT_EQ(r.errorLine, 2) << stride;
+        EXPECT_NE(r.error.find("stride"), std::string::npos)
+            << r.error;
+    }
+    parseOps("open s topo=torus:4,4,4 period=300 bw=128 "
+             "alloc=rr:2147483647\n");
+}
+
 // -- WAL ----------------------------------------------------------
 
 TEST(ServerWal, RecordsRoundTripThroughTheLog)
@@ -614,6 +634,29 @@ TEST(ServerDaemon, UnknownAndDuplicateSessionsAreStructured)
     EXPECT_EQ(d.open(bad).outcome, DaemonOutcome::InvalidConfig);
     EXPECT_EQ(d.close("ghost").outcome,
               DaemonOutcome::UnknownSession);
+}
+
+/** A bad stride fails its own open and takes no other session down. */
+TEST(ServerDaemon, BadRoundRobinStrideIsInvalidConfig)
+{
+    DaemonConfig cfg;
+    SchedulingDaemon d(cfg);
+    ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+    int n = 0;
+    for (const char *alloc : {"rr:0", "rr:99999999999"}) {
+        SessionConfig bad = figSession("b" + std::to_string(n++));
+        bad.alloc = alloc;
+        const DaemonResponse r = d.open(bad);
+        EXPECT_EQ(r.outcome, DaemonOutcome::InvalidConfig) << alloc;
+        EXPECT_NE(r.detail.find("stride"), std::string::npos)
+            << r.detail;
+    }
+    for (const DaemonOp &op :
+         parseOps("a admit x0 probe verify 256\n")) {
+        const DaemonResponse r = d.submit("a", op.request).get();
+        ASSERT_EQ(r.outcome, DaemonOutcome::Ok);
+        EXPECT_TRUE(r.result.accepted) << r.result.detail;
+    }
 }
 
 TEST(ServerDaemon, FullQueueRejectsOverloadedWithoutBlocking)

@@ -38,6 +38,16 @@
 # raw fsync, rename or creating open under src/ would be a second,
 # untested way to make a file durable (DESIGN.md §12).
 #
+# Rerouting and re-solving have one path: src/core/incremental.cc.
+# Any other call of the greedy router (its declaration and
+# definition in src/core/path_assignment.* aside) or of the dirty-
+# subset re-solve under src/ would be a second copy of the
+# reroute -> re-solve -> splice -> verify sequence that online
+# admission and fault repair share (DESIGN.md §10). The retired
+# repair and re-solve option structs, the retired fault-repair fast
+# path and the service's own stretch probe may not be mentioned
+# under src/ at all.
+#
 # Likewise for the retired second benchmark harness: the four bench/
 # perf tools that duplicated perfbench/ and the google-benchmark
 # dependency (its header, and its find_package in any
@@ -108,6 +118,28 @@ grep -rn -E "$durable" src 2>/dev/null |
 if [ -s "$out" ]; then
     echo "check_globals: raw fsync, rename or creating open outside" \
          "src/util/durable_file.cc (use the durable:: helpers):"
+    sed 's/^/  /' "$out"
+    status=1
+fi
+
+resolve="greedyRoute""Messages[(]|resolveDirty""Subsets[(]"
+grep -rn -E "$resolve" src 2>/dev/null |
+    grep -v '^src/core/incremental\.cc:' |
+    grep -v -E '^src/core/path_assignment\.(hh|cc):[0-9]+:greedyRoute''Messages[(]' |
+    grep -v -E '^[^:]+:[0-9]+:[[:space:]]*(//|/?\*)' >"$out" || true
+if [ -s "$out" ]; then
+    echo "check_globals: reroute or dirty-subset re-solve outside" \
+         "src/core/incremental.cc (call resolveIncrementally):"
+    sed 's/^/  /' "$out"
+    status=1
+fi
+
+knobs="Repair""Options|IncrementalSolve""Options"
+knobs="$knobs|tryIncremental""Repair|probeStretched""Periods"
+grep -rn -E "$knobs" src >"$out" 2>/dev/null || true
+if [ -s "$out" ]; then
+    echo "check_globals: retired repair or re-solve knobs, or a" \
+         "second incremental or stretch path:"
     sed 's/^/  /' "$out"
     status=1
 fi

@@ -270,23 +270,16 @@ makeAllocation(const Options &opts, const TaskFlowGraph &g,
                Time period)
 {
     const std::string kind = opts.str("alloc", "greedy");
-    Rng rng(static_cast<std::uint64_t>(opts.num("seed", 1)));
-    if (kind == "greedy")
-        return alloc::greedy(g, topo);
-    if (kind == "random")
-        return alloc::random(g, topo, rng);
-    if (kind.rfind("rr:", 0) == 0)
-        return alloc::roundRobin(g, topo,
-                                 std::stoi(kind.substr(3)));
+    const auto seed = static_cast<std::uint64_t>(opts.num("seed", 1));
     if (kind == "coupled") {
-        const TaskAllocation seed = alloc::greedy(g, topo);
+        Rng rng(seed);
         CoupledAllocationResult coupled = coupleAllocationWithPaths(
-            g, topo, tm, period, seed, rng);
+            g, topo, tm, period, alloc::greedy(g, topo), rng);
         if (!coupled.ok)
             fatal("coupled allocation failed: ", coupled.error);
         return std::move(coupled.allocation);
     }
-    fatal("unknown --alloc kind '", kind, "'");
+    return alloc::fromSpec(kind, g, topo, seed);
 }
 
 int
@@ -369,10 +362,8 @@ cmdCompile(const Options &opts)
     if (opts.has("faults")) {
         const std::string spec = opts.str("faults");
         fault::applyFaultSpec(spec, *topo);
-        fault::RepairOptions ropts;
-        ropts.faultSpec = spec;
         rep = fault::repairSchedule(g, *topo, alloc, tm, cfg, r,
-                                    ropts);
+                                    spec);
         std::cout << "faults: " << spec << " ("
                   << topo->numLiveLinks() << "/" << topo->numLinks()
                   << " links live)\n";
