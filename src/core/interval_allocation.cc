@@ -46,6 +46,22 @@ guardedCapacity(const IntervalSet &ivs, const PathAssignment &pa,
 }
 
 /**
+ * Most of interval k one message may take: its length less the
+ * message's own guard, floored to whole packets on a packet grid
+ * (`packet` > 0) so that rounding a feasible row to packets never
+ * needs a packet the interval cannot hold.
+ */
+Time
+cellCapacity(const IntervalSet &ivs, std::size_t k, Time guard,
+             Time packet)
+{
+    const Time room = std::max(0.0, ivs.interval(k).length() - guard);
+    if (packet <= 0.0)
+        return room;
+    return packet * std::floor(room / packet + 1e-9);
+}
+
+/**
  * LP allocation of one maximal subset. Returns false on
  * infeasibility (Z > 1 or LP failure); `status` and `error` then
  * say which of the two it was.
@@ -53,7 +69,7 @@ guardedCapacity(const IntervalSet &ivs, const PathAssignment &pa,
 bool
 allocateSubsetLp(const TimeBounds &bounds, const IntervalSet &ivs,
                  const PathAssignment &pa, const MessageSubset &sub,
-                 Time guard, const Topology *topo,
+                 Time guard, Time packet, const Topology *topo,
                  lp::BasisCache *basisCache,
                  const engine::EngineContext &ectx, Matrix<Time> &P,
                  double &peakLoad, lp::Status &status,
@@ -83,12 +99,11 @@ allocateSubsetLp(const TimeBounds &bounds, const IntervalSet &ivs,
         prob.addConstraint(std::move(c));
 
         // A message cannot transmit longer than an interval lasts
-        // (minus its own slot's guard).
+        // (minus its own slot's guard), in whole packets on a grid.
         for (std::size_t k : ivs.activeIntervals(h)) {
-            prob.addConstraint(
-                {{var.at({h, k}), 1.0}}, lp::Relation::LessEq,
-                std::max(0.0,
-                         ivs.interval(k).length() - guard));
+            prob.addConstraint({{var.at({h, k}), 1.0}},
+                               lp::Relation::LessEq,
+                               cellCapacity(ivs, k, guard, packet));
         }
     }
 
@@ -171,8 +186,9 @@ bool
 allocateSubsetGreedy(const TimeBounds &bounds, const IntervalSet &ivs,
                      const PathAssignment &pa,
                      const MessageSubset &sub, Time guard,
-                     const Topology *topo, Matrix<Time> &P,
-                     double &peakLoad, std::string &error)
+                     Time packet, const Topology *topo,
+                     Matrix<Time> &P, double &peakLoad,
+                     std::string &error)
 {
     // Residual capacity per (link, interval), guard-reserved.
     std::map<std::pair<LinkId, std::size_t>, Time> residual;
@@ -194,8 +210,7 @@ allocateSubsetGreedy(const TimeBounds &bounds, const IntervalSet &ivs,
         for (std::size_t k : ivs.activeIntervals(h)) {
             if (timeLe(remaining, 0.0))
                 break;
-            Time room = std::max(0.0, ivs.interval(k).length() -
-                                          guard);
+            Time room = cellCapacity(ivs, k, guard, packet);
             for (LinkId l : links)
                 room = std::min(room, residual.at({l, k}));
             const Time take = std::min(room, remaining);
@@ -231,9 +246,11 @@ allocateSubsetGreedy(const TimeBounds &bounds, const IntervalSet &ivs,
  * Round one message's per-interval allocations to whole packets,
  * preserving the row total (which is a packet multiple whenever
  * the message's transmission time is). Largest-remainder method;
- * extra packets go to the intervals with the most room.
+ * extra packets go to the intervals with the most room. @return
+ * the packets it could not place (0 whenever every cell was
+ * bounded by cellCapacity()).
  */
-void
+long
 quantizeRow(Matrix<Time> &P, std::size_t h, const IntervalSet &ivs,
             const std::vector<std::size_t> &active, Time packet,
             Time guard)
@@ -293,9 +310,9 @@ quantizeRow(Matrix<Time> &P, std::size_t h, const IntervalSet &ivs,
     for (const Cell &c : cells)
         P.at(h, c.k) = static_cast<double>(c.floor_packets) *
                        packet;
-    // If leftover packets could not be placed the totals no longer
-    // match and the scheduling stage will reject the interval; that
-    // is the correct failure path for an over-tight quantization.
+    // A leftover the row cannot place would leave the message short
+    // of its duration; the caller fails the subset on it.
+    return leftover;
 }
 
 } // namespace
@@ -345,18 +362,26 @@ allocateMessageIntervals(const TimeBounds &bounds,
             r.ok =
                 method == AllocationMethod::Lp
                     ? allocateSubsetLp(bounds, intervals, pa,
-                                       subsets[s], guardTime, topo,
-                                       basisCache, ectx, local,
-                                       r.peakLoad, r.status, r.error)
+                                       subsets[s], guardTime,
+                                       packetTime, topo, basisCache,
+                                       ectx, local, r.peakLoad,
+                                       r.status, r.error)
                     : allocateSubsetGreedy(bounds, intervals, pa,
                                            subsets[s], guardTime,
-                                           topo, local, r.peakLoad,
-                                           r.error);
+                                           packetTime, topo, local,
+                                           r.peakLoad, r.error);
             if (r.ok && packetTime > 0.0) {
                 for (std::size_t h : subsets[s].members) {
-                    quantizeRow(local, h, intervals,
-                                intervals.activeIntervals(h),
-                                packetTime, guardTime);
+                    const long left = quantizeRow(
+                        local, h, intervals,
+                        intervals.activeIntervals(h), packetTime,
+                        guardTime);
+                    if (left > 0 && r.ok) {
+                        r.ok = false;
+                        r.error = "message " + std::to_string(h) +
+                                  " leaves " + std::to_string(left) +
+                                  " packet(s) no interval can hold";
+                    }
                 }
             }
             for (std::size_t h : subsets[s].members)

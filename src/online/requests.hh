@@ -33,6 +33,8 @@ struct AdmitSpec
     std::string dst;
     /** Payload size in bytes (> 0). */
     double bytes = 0.0;
+
+    bool operator==(const AdmitSpec &) const = default;
 };
 
 /** What a request asks the service to do. */
@@ -63,6 +65,8 @@ struct Request
     Time period = 0.0;
     /** InjectFault: static fault spec (src/fault grammar). */
     std::string faultSpec;
+
+    bool operator==(const Request &) const = default;
 };
 
 /** Why a request was rejected (None when accepted). */

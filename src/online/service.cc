@@ -481,8 +481,11 @@ OnlineScheduler::restore(const GlobalSchedule &omega,
     const double t0 = trace::Tracer::nowWallUs();
     RequestResult res;
     res.period = omega.period;
+    // A rejected restore leaves the fabric as it was handed over,
+    // faults applied before construction included.
+    const Topology::FaultMask before = topo_->faultMask();
     const auto reject = [&](RejectReason r, std::string detail) {
-        topo_->clearFaults();
+        topo_->setFaultMask(before);
         res.reason = r;
         res.detail = std::move(detail);
         return finish(res, "restore", t0, false);
@@ -732,13 +735,11 @@ OnlineScheduler::injectFault(const std::string &spec)
                 "timed fault events are not supported online");
 
     // InjectFault is transactional: apply the new mask, repair,
-    // and on failure restore the fabric so the published schedule
-    // stays valid for the hardware it describes.
-    const auto restoreFabric = [&]() {
-        topo_->clearFaults();
-        if (!faultSpecAccum_.empty())
-            fault::applyFaultSpec(faultSpecAccum_, *topo_);
-    };
+    // and on failure put the saved mask back so the published
+    // schedule stays valid for the hardware it describes (faults
+    // the fabric carried before the service was built included).
+    const Topology::FaultMask before = topo_->faultMask();
+    const auto restoreFabric = [&]() { topo_->setFaultMask(before); };
     try {
         fault::applyFaultSpec(spec, *topo_);
     } catch (const FatalError &e) {

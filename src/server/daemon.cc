@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/schedule_io.hh"
 #include "engine/context.hh"
@@ -52,23 +51,6 @@ effectiveTiming(const SessionConfig &sc)
 }
 
 } // namespace
-
-std::shared_ptr<engine::EngineContext>
-SchedulingDaemon::makeSessionContext(const SessionConfig &sc) const
-{
-    engine::ChildOptions co;
-    co.name = "session." + sc.name;
-    co.threads = sc.threads;
-    co.baseSeed = sc.seed;
-    if (sc.solver == "dense")
-        co.solverKind = lp::SolverKind::Dense;
-    else if (sc.solver == "sparse")
-        co.solverKind = lp::SolverKind::Sparse;
-    else if (!sc.solver.empty())
-        fatal("unknown session solver kind '", sc.solver,
-              "' (expected dense or sparse)");
-    return root_->createChild(co);
-}
 
 void
 SchedulingDaemon::registerSessionCtxLocked(
@@ -127,36 +109,63 @@ SchedulingDaemon::~SchedulingDaemon()
     pool_.reset();
 }
 
-std::unique_ptr<online::OnlineScheduler>
-SchedulingDaemon::buildService(const SessionConfig &sc, Time period,
-                               const engine::EngineContext *ctx) const
+SchedulingDaemon::Session
+SchedulingDaemon::buildSession(const SessionConfig &sc, Time period,
+                               const SessionSnapshot *image) const
 {
-    TaskFlowGraph g = buildWorkload(sc);
+    engine::ChildOptions co;
+    co.name = "session." + sc.name;
+    co.threads = sc.threads;
+    co.baseSeed = sc.seed;
+    // The parser admits only "dense" and "sparse" (or unset).
+    if (!sc.solver.empty())
+        co.solverKind = sc.solver == "dense" ? lp::SolverKind::Dense
+                                             : lp::SolverKind::Sparse;
+
     auto topo = makeTopology(sc.topo);
-    const TimingModel tm = effectiveTiming(sc);
-    const TaskAllocation alloc =
-        alloc::fromSpec(sc.alloc, g, *topo, sc.seed);
+    TaskFlowGraph g = image ? image->g : buildWorkload(sc);
+    TaskAllocation alloc(static_cast<int>(g.numTasks()),
+                         topo->numNodes());
+    if (!image) {
+        alloc = alloc::fromSpec(sc.alloc, g, *topo, sc.seed);
+    } else {
+        // decodeSnapshot() checked one node per task.
+        for (const Task &t : g.tasks()) {
+            const NodeId n =
+                image->placement[static_cast<std::size_t>(t.id)];
+            if (n < 0 || n >= topo->numNodes())
+                fatal("task '", t.name, "' placed on node ", n,
+                      " of ", topo->numNodes());
+            alloc.assign(t.id, n);
+        }
+    }
+
+    Session s;
+    s.cfg = sc;
+    s.ctx = root_->createChild(co);
     online::OnlineSchedulerConfig ocfg;
-    ocfg.compiler.ctx = ctx;
+    ocfg.compiler.ctx = s.ctx.get();
     ocfg.compiler.inputPeriod = period;
     ocfg.compiler.assign.seed = sc.seed;
     ocfg.cacheCapacity =
         (sc.cache && cfg_.cacheCapacity > 0) ? cfg_.cacheCapacity
                                              : 0;
     ocfg.sharedCache = cache_;
-    return std::make_unique<online::OnlineScheduler>(
-        std::move(g), std::move(topo), alloc, tm, ocfg);
+    s.svc = std::make_unique<online::OnlineScheduler>(
+        std::move(g), std::move(topo), alloc, effectiveTiming(sc),
+        ocfg);
+    return s;
 }
 
 // -- Durability ---------------------------------------------------
 
 void
-SchedulingDaemon::walAppend(const DaemonOp &op)
+SchedulingDaemon::walAppend(const std::string &line)
 {
     std::lock_guard<std::mutex> lock(walMu_);
     if (!wal_.isOpen())
         return;
-    wal_.append(op);
+    wal_.append(line);
     ++acceptedSinceSnapshot_;
     // On a failed sync the records stay pending (or the log is
     // marked failed): keep counting so the next append retries.
@@ -202,31 +211,18 @@ SchedulingDaemon::writeSnapshotLocked()
 
     DaemonSnapshot snap;
     snap.walSeq = wal_.nextSeq() - 1;
-    std::vector<const Session *> ordered;
-    for (const auto &[name, s] : sessions_) {
+    for (const Session *s : orderedLocked()) {
         // An in-flight open() parks a placeholder with no service
         // (and no WAL record yet): not part of state at walSeq.
-        if (!s.svc)
+        if (!s->svc)
             continue;
-        ordered.push_back(&s);
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Session *a, const Session *b) {
-                  return a->openIndex < b->openIndex;
-              });
-    for (const Session *s : ordered) {
         const auto st = s->svc->published();
         SessionSnapshot ss;
         ss.cfg = s->cfg;
         ss.period = s->svc->currentPeriod();
-        const TaskFlowGraph &g = st->g;
-        const TaskAllocation &alloc = s->svc->allocation();
-        for (const Task &t : g.tasks())
-            ss.tasks.push_back(
-                {t.name, t.operations, alloc.nodeOf(t.id)});
-        for (const Message &m : g.messages())
-            ss.messages.push_back({m.name, g.task(m.src).name,
-                                   g.task(m.dst).name, m.bytes});
+        ss.g = st->g;
+        for (const Task &t : ss.g.tasks())
+            ss.placement.push_back(s->svc->allocation().nodeOf(t.id));
         std::ostringstream os;
         writeSchedule(os, st->omega);
         ss.scheduleText = os.str();
@@ -264,75 +260,37 @@ SchedulingDaemon::restoreFromSnapshot(const DaemonSnapshot &snap,
                                       std::string *why)
 {
     std::map<std::string, Session> restored;
-    // Fabrics by display name, for validating cache entries below
-    // (cache keys carry the fabric's name, not its build spec).
-    std::map<std::string, std::unique_ptr<Topology>> topoByName;
+    // Restored fabrics by display name, for validating cache entries
+    // below (cache keys carry the fabric's name, not its build spec;
+    // reading a schedule needs only the structure, not the mask).
+    std::map<std::string, const Topology *> topoByName;
     std::uint64_t openIndex = 0;
     for (const SessionSnapshot &ss : snap.sessions) {
-        auto topo = makeTopology(ss.cfg.topo);
-        if (!topoByName.count(topo->name()))
-            topoByName.emplace(topo->name(),
-                               makeTopology(ss.cfg.topo));
-        TaskFlowGraph g;
-        std::unordered_map<std::string, TaskId> taskIds;
-        TaskAllocation alloc(static_cast<int>(ss.tasks.size()),
-                             topo->numNodes());
-        for (const SnapshotTask &t : ss.tasks) {
-            const TaskId id = g.addTask(t.name, t.operations);
-            taskIds[t.name] = id;
-            alloc.assign(id, t.node);
-        }
-        for (const SnapshotMessage &m : ss.messages) {
-            const auto si = taskIds.find(m.src);
-            const auto di = taskIds.find(m.dst);
-            if (si == taskIds.end() || di == taskIds.end()) {
-                *why = "session '" + ss.cfg.name +
-                       "': message endpoints missing";
-                return false;
-            }
-            g.addMessage(m.name, si->second, di->second, m.bytes);
+        const std::string who = "session '" + ss.cfg.name + "': ";
+        Session s;
+        try {
+            s = buildSession(ss.cfg, ss.period, &ss);
+        } catch (const FatalError &e) {
+            *why = who + e.what();
+            return false;
         }
         std::istringstream sin(ss.scheduleText);
         const ScheduleReadResult sched =
-            tryReadSchedule(sin, *topo);
+            tryReadSchedule(sin, s.svc->topology());
         if (!sched.ok) {
-            *why = "session '" + ss.cfg.name +
-                   "': " + sched.error;
+            *why = who + sched.error;
             return false;
         }
-
-        std::shared_ptr<engine::EngineContext> sctx;
-        try {
-            sctx = makeSessionContext(ss.cfg);
-        } catch (const FatalError &e) {
-            *why = "session '" + ss.cfg.name + "': " + e.what();
-            return false;
-        }
-        online::OnlineSchedulerConfig ocfg;
-        ocfg.compiler.ctx = sctx.get();
-        ocfg.compiler.inputPeriod = ss.period;
-        ocfg.compiler.assign.seed = ss.cfg.seed;
-        ocfg.cacheCapacity =
-            (ss.cfg.cache && cfg_.cacheCapacity > 0)
-                ? cfg_.cacheCapacity
-                : 0;
-        ocfg.sharedCache = cache_;
-        auto svc = std::make_unique<online::OnlineScheduler>(
-            std::move(g), std::move(topo), alloc,
-            effectiveTiming(ss.cfg), ocfg);
         const online::RequestResult res =
-            svc->restore(sched.omega, sched.omega.faultSpec);
+            s.svc->restore(sched.omega, sched.omega.faultSpec);
         if (!res.accepted) {
-            *why = "session '" + ss.cfg.name +
-                   "': restore rejected (" +
+            *why = who + "restore rejected (" +
                    online::rejectReasonName(res.reason) +
                    "): " + res.detail;
             return false;
         }
-        Session s;
-        s.cfg = ss.cfg;
-        s.ctx = std::move(sctx);
-        s.svc = std::move(svc);
+        topoByName.emplace(s.svc->topology().name(),
+                           &s.svc->topology());
         s.openIndex = openIndex++;
         restored.emplace(ss.cfg.name, std::move(s));
     }
@@ -348,13 +306,9 @@ SchedulingDaemon::restoreFromSnapshot(const DaemonSnapshot &snap,
         std::pair<std::string, online::ScheduleCache::Entry>>
         seeds;
     for (const SnapshotCacheEntry &e : snap.cache) {
-        if (e.key.rfind("topo=", 0) != 0) {
-            *why = "cache entry key lacks a topo prefix";
-            return false;
-        }
         const std::size_t semi = e.key.find(';');
-        if (semi == std::string::npos) {
-            *why = "malformed cache entry key";
+        if (e.key.rfind("topo=", 0) != 0 || semi == std::string::npos) {
+            *why = "cache entry key lacks a 'topo=<name>;' prefix";
             return false;
         }
         const auto ti = topoByName.find(e.key.substr(5, semi - 5));
@@ -397,26 +351,19 @@ SchedulingDaemon::replayOp(const DaemonOp &op, RecoveryResult &rr)
               ++rr.replayRejected;
               return false;
           }
-          std::unique_ptr<online::OnlineScheduler> svc;
-          std::shared_ptr<engine::EngineContext> sctx;
+          Session s;
           try {
-              sctx = makeSessionContext(op.open);
-              svc = buildService(op.open, op.open.period,
-                                 sctx.get());
+              s = buildSession(op.open, op.open.period, nullptr);
           } catch (const FatalError &) {
               ++rr.replayRejected;
               return false;
           }
-          if (!svc->start().accepted) {
+          if (!s.svc->start().accepted) {
               ++rr.replayRejected;
               return false;
           }
-          Session s;
-          s.cfg = op.open;
-          s.ctx = sctx;
-          s.svc = std::move(svc);
           s.openIndex = nextOpenIndex_++;
-          registerSessionCtxLocked(op.session, std::move(sctx));
+          registerSessionCtxLocked(op.session, s.ctx);
           sessions_.emplace(op.session, std::move(s));
           return true;
       }
@@ -470,7 +417,7 @@ SchedulingDaemon::runRecovery()
     if (wr.tornTail) {
         std::ostringstream body;
         for (const WalRecord &rec : wr.records)
-            body << encodeWalRecord(rec) << '\n';
+            body << encodeWalRecord(rec.seq, rec.line) << '\n';
         std::string err;
         if (!durable::replaceFile(wpath, body.str(), cfg_.syscalls,
                                   &err))
@@ -557,6 +504,12 @@ SchedulingDaemon::open(const SessionConfig &sc)
     DaemonResponse resp;
     resp.session = sc.name;
     resp.kind = "open";
+    DaemonOp op;
+    op.kind = DaemonOp::Kind::Open;
+    op.session = sc.name;
+    op.open = sc;
+    std::string line, lineError;
+    const bool loggable = loggableText(op, &line, &lineError);
     {
         std::lock_guard<std::mutex> lock(mu_);
         resp.id = nextId_++;
@@ -570,6 +523,14 @@ SchedulingDaemon::open(const SessionConfig &sc)
                 "session '" + sc.name + "' is already open";
             return resp;
         }
+        // Only an op that replays exactly may be taken, with or
+        // without a log to replay it from.
+        if (!loggable) {
+            resp.outcome = DaemonOutcome::InvalidConfig;
+            resp.detail = lineError;
+            metrics::bump(root_->metricsRegistry(), "server.rejected");
+            return resp;
+        }
         // Reserve the name; active=true parks any request that is
         // submitted while the initial compile runs below.
         Session s;
@@ -579,14 +540,12 @@ SchedulingDaemon::open(const SessionConfig &sc)
         sessions_.emplace(sc.name, std::move(s));
     }
 
-    std::unique_ptr<online::OnlineScheduler> svc;
-    std::shared_ptr<engine::EngineContext> sctx;
+    Session built;
     online::RequestResult first;
     std::string configError;
     try {
-        sctx = makeSessionContext(sc);
-        svc = buildService(sc, sc.period, sctx.get());
-        first = svc->start();
+        built = buildSession(sc, sc.period, nullptr);
+        first = built.svc->start();
     } catch (const FatalError &e) {
         configError = e.what();
     }
@@ -599,19 +558,15 @@ SchedulingDaemon::open(const SessionConfig &sc)
         closedOut = shutdown_;
         auto it = sessions_.find(sc.name);
         if (ok && !closedOut) {
-            it->second.ctx = sctx;
-            it->second.svc = std::move(svc);
-            registerSessionCtxLocked(sc.name, std::move(sctx));
+            it->second.ctx = built.ctx;
+            it->second.svc = std::move(built.svc);
+            registerSessionCtxLocked(sc.name, std::move(built.ctx));
             // WAL order must equal publication order: append the
             // Open while the lock still parks this session's first
             // request (its worker only starts below) and blocks
             // snapshots, so no Request or image can be sequenced
             // ahead of it.
-            DaemonOp op;
-            op.kind = DaemonOp::Kind::Open;
-            op.session = sc.name;
-            op.open = sc;
-            walAppend(op);
+            walAppend(line);
             it->second.active = false;
             kick = !it->second.pending.empty() && !paused_;
             if (kick)
@@ -619,16 +574,8 @@ SchedulingDaemon::open(const SessionConfig &sc)
         } else {
             // Failed opens leave no session (and no WAL record);
             // anything queued meanwhile dies with it.
-            for (auto &job : it->second.pending) {
-                DaemonResponse dead;
-                dead.id = job->id;
-                dead.session = sc.name;
-                dead.kind = job->kind;
-                dead.outcome = DaemonOutcome::UnknownSession;
-                dead.detail = "session open failed";
-                --queued_;
-                job->promise.set_value(std::move(dead));
-            }
+            failPendingLocked(it->second, DaemonOutcome::UnknownSession,
+                              "session open failed");
             sessions_.erase(it);
             setQueueGaugeLocked();
         }
@@ -695,17 +642,48 @@ SchedulingDaemon::close(const std::string &session)
             return resp;
         }
         // Log the Close before releasing the lock: a concurrent
-        // re-open of the same name must be sequenced after it.
+        // re-open of the same name must be sequenced after it. The
+        // name was loggable when the session opened.
         DaemonOp op;
         op.kind = DaemonOp::Kind::Close;
         op.session = session;
-        walAppend(op);
+        walAppend(formatDaemonOp(op));
     }
     metrics::bump(root_->metricsRegistry(), "server.closes");
     return resp;
 }
 
 // -- Data plane ---------------------------------------------------
+
+void
+SchedulingDaemon::failPendingLocked(Session &s, DaemonOutcome o,
+                                    const char *detail)
+{
+    for (auto &job : s.pending) {
+        DaemonResponse dead;
+        dead.id = job->id;
+        dead.session = s.cfg.name;
+        dead.kind = job->kind;
+        dead.outcome = o;
+        dead.detail = detail;
+        job->promise.set_value(std::move(dead));
+    }
+    queued_ -= s.pending.size();
+    s.pending.clear();
+}
+
+std::vector<const SchedulingDaemon::Session *>
+SchedulingDaemon::orderedLocked() const
+{
+    std::vector<const Session *> ordered;
+    for (const auto &[name, s] : sessions_)
+        ordered.push_back(&s);
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Session *a, const Session *b) {
+                  return a->openIndex < b->openIndex;
+              });
+    return ordered;
+}
 
 void
 SchedulingDaemon::setQueueGaugeLocked()
@@ -801,26 +779,33 @@ SchedulingDaemon::finishJob(Session &s, Job &job)
 
     trace::ScopedPhase phase("server_request", ectx.tracer(),
                              ectx.metricsRegistry());
-    try {
-        resp.result = s.svc->process(job.req);
-    } catch (const FatalError &e) {
-        resp.result.accepted = false;
+    // Only a request that replays exactly may reach the scheduler,
+    // with or without a log to replay it from.
+    DaemonOp op;
+    op.kind = DaemonOp::Kind::Request;
+    op.session = s.cfg.name;
+    op.request = std::move(job.req);
+    std::string line;
+    if (!loggableText(op, &line, &resp.result.detail)) {
         resp.result.reason = online::RejectReason::InvalidRequest;
-        resp.result.detail = e.what();
+    } else {
+        try {
+            resp.result = s.svc->process(op.request);
+        } catch (const FatalError &e) {
+            resp.result.accepted = false;
+            resp.result.reason = online::RejectReason::InvalidRequest;
+            resp.result.detail = e.what();
+        }
     }
     if (resp.result.accepted) {
-        DaemonOp op;
-        op.kind = DaemonOp::Kind::Request;
-        op.session = s.cfg.name;
-        op.request = job.req;
-        walAppend(op);
+        walAppend(line);
         metrics::bump(root_->metricsRegistry(), "server.accepted");
     } else {
         metrics::bump(root_->metricsRegistry(), "server.rejected");
     }
     // The session's registry writes through to the root aggregate,
     // so this per-session histogram lands in both.
-    if (job.req.kind == online::RequestKind::AdmitMessage &&
+    if (op.request.kind == online::RequestKind::AdmitMessage &&
         SRSIM_METRICS_ENABLED())
         ectx.metricsRegistry()
             .histogram("server.session." + s.cfg.name +
@@ -907,19 +892,9 @@ SchedulingDaemon::crashForTest()
 {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    for (auto &[name, s] : sessions_) {
-        for (auto &job : s.pending) {
-            DaemonResponse dead;
-            dead.id = job->id;
-            dead.session = name;
-            dead.kind = job->kind;
-            dead.outcome = DaemonOutcome::ShuttingDown;
-            dead.detail = "daemon crashed";
-            job->promise.set_value(std::move(dead));
-        }
-        s.pending.clear();
-    }
-    queued_ = 0;
+    for (auto &[name, s] : sessions_)
+        failPendingLocked(s, DaemonOutcome::ShuttingDown,
+                          "daemon crashed");
     std::lock_guard<std::mutex> wlock(walMu_);
     wal_.crashForTest();
 }
@@ -967,15 +942,8 @@ std::vector<std::string>
 SchedulingDaemon::sessionNames() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<const Session *> ordered;
-    for (const auto &[name, s] : sessions_)
-        ordered.push_back(&s);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Session *a, const Session *b) {
-                  return a->openIndex < b->openIndex;
-              });
     std::vector<std::string> names;
-    for (const Session *s : ordered)
+    for (const Session *s : orderedLocked())
         names.push_back(s->cfg.name);
     return names;
 }

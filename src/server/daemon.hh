@@ -282,16 +282,15 @@ class SchedulingDaemon
         std::uint64_t openIndex = 0;
     };
 
-    /** Build fabric + workload + service for `sc`, running under
-        `ctx`; throws FatalError on invalid config. */
-    std::unique_ptr<online::OnlineScheduler>
-    buildService(const SessionConfig &sc, Time period,
-                 const engine::EngineContext *ctx) const;
-
-    /** Child context for one session per its open-line overrides;
-        throws FatalError on an unknown solver kind. */
-    std::shared_ptr<engine::EngineContext>
-    makeSessionContext(const SessionConfig &sc) const;
+    /**
+     * Build session `sc` at `period`: its child context (per the
+     * open line's solver= / threads= overrides), fabric and
+     * not-yet-started service — on the open line's workload and
+     * allocation, or on `image`'s when restoring a snapshot. Throws
+     * FatalError on an invalid config.
+     */
+    Session buildSession(const SessionConfig &sc, Time period,
+                         const SessionSnapshot *image) const;
 
     /** Record `ctx` as session `name`'s context (caller holds
         mu_ or is in single-threaded recovery). */
@@ -308,12 +307,18 @@ class SchedulingDaemon
 
     void drainSession(const std::string &name);
     void finishJob(Session &s, Job &job);
-    /** Log an accepted op; group-commit per walSyncEvery. */
-    void walAppend(const DaemonOp &op);
+    /** Log an accepted op's loggableText(); group-commit per
+        walSyncEvery. */
+    void walAppend(const std::string &line);
     /** Snapshot if due and quiescent (daemon lock held). */
     void maybeSnapshotLocked();
     void writeSnapshotLocked();
     void setQueueGaugeLocked();
+    /** Resolve and drop every job queued on `s` (mu_ held). */
+    void failPendingLocked(Session &s, DaemonOutcome o,
+                           const char *detail);
+    /** Sessions, placeholders included, in open order (mu_ held). */
+    std::vector<const Session *> orderedLocked() const;
 
     DaemonConfig cfg_;
     /** Resolved root context (never null after construction). */

@@ -1,6 +1,9 @@
 #include "server/protocol.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <iomanip>
 #include <sstream>
 
 #include "mapping/allocation.hh"
@@ -10,12 +13,33 @@ namespace server {
 
 namespace {
 
+/** A finite decimal number: NaN and infinities are rejected. */
 bool
 parseNumber(const std::string &s, double *out)
 {
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (!end || *end != '\0' || s.empty())
+    if (!end || *end != '\0' || s.empty() || !std::isfinite(v))
+        return false;
+    *out = v;
+    return true;
+}
+
+/**
+ * An exact unsigned 64-bit integer: decimal digits only, overflow
+ * rejected (never a cast from a double, which cannot hold every
+ * seed and is undefined out of range).
+ */
+bool
+parseU64(const std::string &s, std::uint64_t *out)
+{
+    if (s.empty() || s.find_first_not_of("0123456789") !=
+                         std::string::npos)
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (errno == ERANGE || !end || *end != '\0')
         return false;
     *out = v;
     return true;
@@ -58,63 +82,43 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
         }
         const std::string key = tok.substr(0, eq);
         const std::string val = tok.substr(eq + 1);
+        const auto bad = [&](const char *what) {
+            *err = key + " must be " + what + ", got '" + val + "'";
+            return false;
+        };
         double num = 0.0;
+        std::uint64_t whole = 0;
         if (key == "topo") {
             sc.topo = val;
         } else if (key == "tfg") {
             sc.tfg = val;
-        } else if (key == "period") {
-            if (!parseNumber(val, &num) || num <= 0.0) {
-                *err = "period must be a positive number, got '" +
-                       val + "'";
-                return false;
-            }
-            sc.period = num;
-        } else if (key == "bw") {
-            if (!parseNumber(val, &num) || num <= 0.0) {
-                *err = "bw must be a positive number, got '" + val +
-                       "'";
-                return false;
-            }
-            sc.bandwidth = num;
+        } else if (key == "period" || key == "bw") {
+            if (!parseNumber(val, &num) || num <= 0.0)
+                return bad("a positive number");
+            (key == "bw" ? sc.bandwidth : sc.period) = num;
         } else if (key == "ap") {
-            if (!parseNumber(val, &num) || num < 0.0) {
-                *err = "ap must be >= 0, got '" + val + "'";
-                return false;
-            }
+            if (!parseNumber(val, &num) || num < 0.0)
+                return bad("a finite number >= 0");
             sc.apSpeed = num;
         } else if (key == "alloc") {
             if (!alloc::parseSpec(val, err))
                 return false;
             sc.alloc = val;
         } else if (key == "seed") {
-            if (!parseNumber(val, &num) || num < 0.0) {
-                *err = "seed must be >= 0, got '" + val + "'";
-                return false;
-            }
-            sc.seed = static_cast<std::uint64_t>(num);
+            if (!parseU64(val, &sc.seed))
+                return bad("an unsigned 64-bit integer");
         } else if (key == "cache") {
-            if (val != "0" && val != "1") {
-                *err = "cache must be 0 or 1, got '" + val + "'";
-                return false;
-            }
+            if (val != "0" && val != "1")
+                return bad("0 or 1");
             sc.cache = val == "1";
         } else if (key == "solver") {
-            if (val != "dense" && val != "sparse") {
-                *err = "solver must be dense or sparse, got '" +
-                       val + "'";
-                return false;
-            }
+            if (val != "dense" && val != "sparse")
+                return bad("dense or sparse");
             sc.solver = val;
         } else if (key == "threads") {
-            if (!parseNumber(val, &num) || num < 1.0 ||
-                num != static_cast<double>(
-                           static_cast<std::size_t>(num))) {
-                *err = "threads must be a positive integer, got '" +
-                       val + "'";
-                return false;
-            }
-            sc.threads = static_cast<std::size_t>(num);
+            if (!parseU64(val, &whole) || whole < 1)
+                return bad("a positive integer");
+            sc.threads = static_cast<std::size_t>(whole);
         } else {
             *err = "unknown open key '" + key + "'";
             return false;
@@ -136,6 +140,78 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
 }
 
 } // namespace
+
+std::string
+formatDaemonOp(const DaemonOp &op)
+{
+    std::ostringstream os;
+    os << std::setprecision(17); // doubles read back bit for bit
+    const SessionConfig &sc = op.open;
+    const online::Request &r = op.request;
+    if (op.kind == DaemonOp::Kind::Open) {
+        os << "open " << op.session << " topo=" << sc.topo
+           << " tfg=" << sc.tfg << " period=" << sc.period
+           << " bw=" << sc.bandwidth << " ap=" << sc.apSpeed
+           << " alloc=" << sc.alloc << " seed=" << sc.seed
+           << " cache=" << sc.cache;
+        if (!sc.solver.empty())
+            os << " solver=" << sc.solver;
+        if (sc.threads > 0)
+            os << " threads=" << sc.threads;
+    } else if (op.kind == DaemonOp::Kind::Close) {
+        os << "close " << op.session;
+    } else if (r.kind == online::RequestKind::AdmitMessage) {
+        if (r.admits.size() != 1)
+            os << op.session << " batch " << r.admits.size() << '\n';
+        for (std::size_t i = 0; i < r.admits.size(); ++i) {
+            const online::AdmitSpec &a = r.admits[i];
+            os << (i > 0 ? "\n" : "") << op.session << " admit "
+               << a.name << ' ' << a.src << ' ' << a.dst << ' '
+               << a.bytes;
+        }
+    } else if (r.kind == online::RequestKind::RemoveMessage) {
+        os << op.session << " remove " << r.name;
+    } else if (r.kind == online::RequestKind::UpdatePeriod) {
+        os << op.session << " period " << r.period;
+    } else {
+        os << op.session << " fault " << r.faultSpec;
+    }
+    return os.str();
+}
+
+bool
+parseDaemonOp(const std::string &text, DaemonOp *out,
+              std::string *err)
+{
+    std::istringstream is(text);
+    DaemonScriptParseResult r = parseDaemonScript(is);
+    if (!r.ok || r.ops.size() != 1) {
+        *err = r.ok ? "expected one op, got " +
+                          std::to_string(r.ops.size())
+                    : r.error;
+        return false;
+    }
+    *out = std::move(r.ops[0]);
+    return true;
+}
+
+bool
+loggableText(const DaemonOp &op, std::string *text, std::string *err)
+{
+    std::string line = formatDaemonOp(op);
+    DaemonOp back;
+    if (!parseDaemonOp(line, &back, err))
+        return false;
+    // Field for field, the fields a kind does not use included:
+    // the text cannot carry them.
+    if (op.kind != back.kind || op.session != back.session ||
+        op.open != back.open || op.request != back.request) {
+        *err = "'" + line + "' does not read back as the same op";
+        return false;
+    }
+    *text = std::move(line);
+    return true;
+}
 
 bool
 parseRequestLine(const std::string &line, online::Request &out,

@@ -28,9 +28,17 @@
  * `tfg=dvb` builds the paper's DARPA Vision Benchmark workload
  * in-process (no file dependency — recovery can always replay it);
  * any other value is a TFG file path. `ap=0` (the default) picks the
- * DVB-matched AP speed for tfg=dvb and 1.0 otherwise. Parsing is
- * total: malformed lines produce a structured error with the
- * 1-based line number, never an abort.
+ * DVB-matched AP speed for tfg=dvb and 1.0 otherwise. Numbers must
+ * be finite; `seed=` and `threads=` are exact decimal integers.
+ * Parsing is total: malformed lines produce a structured error with
+ * the 1-based line number, never an abort.
+ *
+ * This grammar is also the daemon's durable spelling of an op:
+ * formatDaemonOp() prints the canonical text that
+ * parseDaemonScript() reads back field for field, and a WAL record
+ * or a snapshot's session header is that text. The daemon takes
+ * only ops whose text reads back (loggableText()), so every
+ * accepted op can be replayed exactly.
  */
 
 #ifndef SRSIM_SERVER_PROTOCOL_HH_
@@ -77,6 +85,8 @@ struct SessionConfig
      * 0 shares the daemon's pool.
      */
     std::size_t threads = 0;
+
+    bool operator==(const SessionConfig &) const = default;
 };
 
 /** One parsed daemon-script operation. */
@@ -106,6 +116,32 @@ struct DaemonScriptParseResult
 
 /** Parse a whole daemon script; `batch N` becomes one Request. */
 DaemonScriptParseResult parseDaemonScript(std::istream &is);
+
+/**
+ * Canonical script text of `op`: every open key in one order
+ * (`solver=` and `threads=` only when set), doubles at 17
+ * significant digits, seeds in exact decimal; a request of several
+ * admits is `batch N` followed by N admit lines. No trailing
+ * newline.
+ */
+std::string formatDaemonOp(const DaemonOp &op);
+
+/**
+ * Parse text that holds exactly one op (a WAL record's line, a
+ * snapshot's open line). @return false with *err set otherwise.
+ */
+bool parseDaemonOp(const std::string &text, DaemonOp *out,
+                   std::string *err);
+
+/**
+ * The text the daemon logs for `op`: formatDaemonOp(op), provided
+ * parseDaemonOp() reads it back as `op` field for field (fields
+ * `op`'s kind does not use must keep their defaults). @return false
+ * with *err set when it does not (a non-finite number, a name the
+ * grammar cannot spell, an empty batch, ...).
+ */
+bool loggableText(const DaemonOp &op, std::string *text,
+                  std::string *err);
 
 /**
  * Parse one request in the per-session verb grammar (`admit`,

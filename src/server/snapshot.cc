@@ -9,15 +9,15 @@
 #include <sstream>
 
 #include "online/cache.hh"
+#include "tfg/tfg_io.hh"
+#include "util/logging.hh"
 
 namespace srsim {
 namespace server {
 
 namespace {
 
-constexpr const char *kMagic = "srsim-daemon-snapshot v2";
-/** Written before sessions' solver= / threads= were persisted. */
-constexpr const char *kMagicV1 = "srsim-daemon-snapshot v1";
+constexpr const char *kMagic = "srsim-daemon-snapshot v3";
 
 /** Lines + an embedded raw block, with 17-digit double round-trip. */
 class BodyWriter
@@ -120,17 +120,14 @@ toNumber(BodyReader &r, const std::string &s)
     return v;
 }
 
-/** Exact u64 parse — toNumber() would clip seeds above 2^53. */
-std::uint64_t
-toU64(BodyReader &r, const std::string &s)
+/** "<key> <n>" with 0 <= n <= limit; 0 once the reader failed. */
+std::size_t
+countOf(BodyReader &r, const char *key, double limit)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (!end || *end != '\0' || s.empty()) {
-        r.fail("malformed integer '" + s + "'");
-        return 0;
-    }
-    return v;
+    const double n = toNumber(r, expectKey(r, key));
+    if (r.ok() && !(n >= 0 && n <= limit))
+        r.fail(std::string("implausible ") + key + " count");
+    return r.ok() ? static_cast<std::size_t>(n) : 0;
 }
 
 } // namespace
@@ -143,38 +140,29 @@ encodeSnapshot(const DaemonSnapshot &snap)
     w.line("walseq ", snap.walSeq);
     w.line("sessions ", snap.sessions.size());
     for (const SessionSnapshot &s : snap.sessions) {
-        const SessionConfig &c = s.cfg;
-        w.line("session ", c.name);
-        w.line("topo ", c.topo);
-        w.line("tfgsrc ", c.tfg);
-        w.line("openperiod ", c.period);
-        w.line("bw ", c.bandwidth);
-        w.line("ap ", c.apSpeed);
-        w.line("alloc ", c.alloc);
-        w.line("seed ", c.seed);
-        w.line("cachesess ", c.cache ? 1 : 0);
-        w.line("solver ", c.solver);
-        w.line("threads ", c.threads);
+        DaemonOp open;
+        open.kind = DaemonOp::Kind::Open;
+        open.session = s.cfg.name;
+        open.open = s.cfg;
+        w.line(formatDaemonOp(open));
         w.line("period ", s.period);
-        w.line("tasks ", s.tasks.size());
-        for (const SnapshotTask &t : s.tasks)
-            w.line("task ", t.name, " ", t.operations, " ", t.node);
-        w.line("messages ", s.messages.size());
-        for (const SnapshotMessage &m : s.messages)
-            w.line("message ", m.name, " ", m.src, " ", m.dst, " ",
-                   m.bytes);
+        std::ostringstream tfg;
+        writeTfg(tfg, s.g);
+        w.line("tfg ", tfg.str().size());
+        w.line(tfg.str());
+        w.os << "placement";
+        for (const NodeId n : s.placement)
+            w.os << ' ' << n;
+        w.line();
         w.line("schedule ", s.scheduleText.size());
-        w.os << s.scheduleText;
-        w.os << '\n';
+        w.line(s.scheduleText);
     }
     w.line("cacheentries ", snap.cache.size());
     for (const SnapshotCacheEntry &e : snap.cache) {
         w.line("centry ", e.numSubsets, " ", e.peakUtilization,
                " ", e.key.size(), " ", e.scheduleText.size());
-        w.os << e.key;
-        w.os << '\n';
-        w.os << e.scheduleText;
-        w.os << '\n';
+        w.line(e.key);
+        w.line(e.scheduleText);
     }
     w.line("end");
     return w.os.str();
@@ -185,112 +173,66 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
                std::string *err)
 {
     BodyReader r(body);
-    const auto bail = [&]() {
+    const auto bail = [&](const std::string &why) {
+        r.fail(why);
         *err = r.error();
         return false;
     };
 
-    const std::string magic = r.nextLine();
-    const bool v1 = magic == kMagicV1;
-    if (magic != kMagic && !v1) {
-        r.fail("bad magic (expected '" + std::string(kMagic) + "')");
-        return bail();
-    }
-    snap->walSeq = toU64(r, expectKey(r, "walseq"));
-    const double nSessions = toNumber(r, expectKey(r, "sessions"));
-    if (!r.ok() || nSessions < 0 || nSessions > 1e6) {
-        r.fail("implausible session count");
-        return bail();
-    }
+    if (r.nextLine() != kMagic)
+        return bail("bad magic (expected '" + std::string(kMagic) +
+                    "')");
+    snap->walSeq = countOf(r, "walseq", 9e15); // exact below 2^53
     snap->sessions.clear();
-    for (int i = 0; i < static_cast<int>(nSessions); ++i) {
-        SessionSnapshot s;
-        s.cfg.name = expectKey(r, "session");
-        s.cfg.topo = expectKey(r, "topo");
-        s.cfg.tfg = expectKey(r, "tfgsrc");
-        s.cfg.period = toNumber(r, expectKey(r, "openperiod"));
-        s.cfg.bandwidth = toNumber(r, expectKey(r, "bw"));
-        s.cfg.apSpeed = toNumber(r, expectKey(r, "ap"));
-        s.cfg.alloc = expectKey(r, "alloc");
-        s.cfg.seed = toU64(r, expectKey(r, "seed"));
-        s.cfg.cache =
-            toNumber(r, expectKey(r, "cachesess")) != 0.0;
-        // A v1 image's sessions run on the daemon's defaults.
-        if (!v1) {
-            s.cfg.solver = expectKey(r, "solver");
-            s.cfg.threads = static_cast<std::size_t>(
-                toU64(r, expectKey(r, "threads")));
-        }
-        s.period = toNumber(r, expectKey(r, "period"));
-        const double nTasks = toNumber(r, expectKey(r, "tasks"));
-        if (!r.ok() || nTasks < 0 || nTasks > 1e6) {
-            r.fail("implausible task count");
-            return bail();
-        }
-        for (int t = 0; t < static_cast<int>(nTasks); ++t) {
-            std::istringstream ls(expectKey(r, "task"));
-            SnapshotTask st;
-            if (!(ls >> st.name >> st.operations >> st.node)) {
-                r.fail("malformed task row");
-                return bail();
-            }
-            s.tasks.push_back(std::move(st));
-        }
-        const double nMsgs = toNumber(r, expectKey(r, "messages"));
-        if (!r.ok() || nMsgs < 0 || nMsgs > 1e6) {
-            r.fail("implausible message count");
-            return bail();
-        }
-        for (int m = 0; m < static_cast<int>(nMsgs); ++m) {
-            std::istringstream ls(expectKey(r, "message"));
-            SnapshotMessage sm;
-            if (!(ls >> sm.name >> sm.src >> sm.dst >> sm.bytes)) {
-                r.fail("malformed message row");
-                return bail();
-            }
-            s.messages.push_back(std::move(sm));
-        }
-        const double schedLen =
-            toNumber(r, expectKey(r, "schedule"));
-        if (!r.ok() || schedLen < 0 || schedLen > 1e9) {
-            r.fail("implausible schedule length");
-            return bail();
-        }
-        s.scheduleText =
-            r.rawBlock(static_cast<std::size_t>(schedLen));
+    for (std::size_t i = countOf(r, "sessions", 1e6); i > 0; --i) {
+        SessionSnapshot &s = snap->sessions.emplace_back();
+        const std::string openLine = r.nextLine();
+        DaemonOp open;
+        std::string why;
         if (!r.ok())
-            return bail();
-        snap->sessions.push_back(std::move(s));
-    }
-    const double nCache = toNumber(r, expectKey(r, "cacheentries"));
-    if (!r.ok() || nCache < 0 || nCache > 1e6) {
-        r.fail("implausible cache-entry count");
-        return bail();
+            return bail("");
+        if (!parseDaemonOp(openLine, &open, &why) ||
+            open.kind != DaemonOp::Kind::Open)
+            return bail("bad session open line '" + openLine +
+                        "': " + why);
+        s.cfg = std::move(open.open);
+        s.period = toNumber(r, expectKey(r, "period"));
+        std::istringstream tfg(r.rawBlock(countOf(r, "tfg", 1e9)));
+        if (!r.ok())
+            return bail("");
+        try {
+            s.g = readTfg(tfg);
+        } catch (const FatalError &e) {
+            return bail(std::string("session workload: ") + e.what());
+        }
+        std::istringstream placement(r.nextLine());
+        std::string key;
+        NodeId node = 0;
+        placement >> key;
+        while (placement >> node)
+            s.placement.push_back(node);
+        if (key != "placement" || !placement.eof() ||
+            s.placement.size() != s.g.tasks().size())
+            return bail("malformed placement row");
+        s.scheduleText = r.rawBlock(countOf(r, "schedule", 1e9));
     }
     snap->cache.clear();
-    for (int c = 0; c < static_cast<int>(nCache); ++c) {
+    for (std::size_t i = countOf(r, "cacheentries", 1e6); i > 0; --i) {
+        SnapshotCacheEntry &e = snap->cache.emplace_back();
         std::istringstream ls(expectKey(r, "centry"));
-        SnapshotCacheEntry e;
         double keyLen = 0.0, schedLen = 0.0;
         if (!(ls >> e.numSubsets >> e.peakUtilization >> keyLen >>
               schedLen) ||
             keyLen < 0 || keyLen > 1e9 || schedLen < 0 ||
-            schedLen > 1e9) {
-            r.fail("malformed cache-entry header");
-            return bail();
-        }
+            schedLen > 1e9)
+            return bail("malformed cache-entry header");
         e.key = r.rawBlock(static_cast<std::size_t>(keyLen));
         e.scheduleText =
             r.rawBlock(static_cast<std::size_t>(schedLen));
-        if (!r.ok())
-            return bail();
-        snap->cache.push_back(std::move(e));
     }
-    if (r.nextLine() != "end") {
-        r.fail("missing end trailer");
-        return bail();
-    }
-    return r.ok() ? true : bail();
+    if (r.nextLine() != "end")
+        return bail("missing end trailer");
+    return r.ok() || bail("");
 }
 
 bool

@@ -9,10 +9,12 @@
  * the cost of recovery is bounded by the snapshot interval instead
  * of the full history.
  *
- * Per session the image stores the open-time configuration, the
- * *current* workload (tasks with their explicit placement, messages
- * in id order — the allocation is fixed at open but derived from
- * the message set then, so it is stored, never re-derived), and the
+ * Per session the image stores the session's `open` line (the
+ * protocol's canonical text, read back with the script parser), its
+ * *current* period, its *current* workload as an `srsim-tfg v1`
+ * block (tfg_io, doubles at 17 digits), one line with each task's
+ * node — the allocation is fixed at open but derived from the
+ * message set then, so it is stored, never re-derived — and the
  * published schedule in the schedule_io v2 text form (which carries
  * the accumulated fault spec). Restoring re-applies the fault mask,
  * recomputes the route-free bounds, and re-verifies the schedule —
@@ -24,9 +26,8 @@
  * new file or a verifiable one; a corrupt file fails its hash and
  * recovery falls back to the next older snapshot, and ultimately to
  * a full WAL replay. The format is versioned ("srsim-daemon-snapshot
- * v2", which added each session's solver= and threads= overrides);
- * readers also accept v1 and reject versions they do not
- * understand.
+ * v3", the first whose sessions are protocol and TFG text); readers
+ * reject every other version, like any undecodable image.
  */
 
 #ifndef SRSIM_SERVER_SNAPSHOT_HH_
@@ -37,29 +38,12 @@
 #include <vector>
 
 #include "server/protocol.hh"
+#include "tfg/tfg.hh"
 #include "topology/topology.hh"
 #include "util/durable_file.hh"
 
 namespace srsim {
 namespace server {
-
-/** One task row of a session image. */
-struct SnapshotTask
-{
-    std::string name;
-    double operations = 0.0;
-    /** The node the (fixed) allocation placed this task on. */
-    NodeId node = 0;
-};
-
-/** One message row of a session image (id order). */
-struct SnapshotMessage
-{
-    std::string name;
-    std::string src;
-    std::string dst;
-    double bytes = 0.0;
-};
 
 /** Point-in-time image of one live session. */
 struct SessionSnapshot
@@ -68,8 +52,10 @@ struct SessionSnapshot
     SessionConfig cfg;
     /** Current input period (us) — drifts via period/fault. */
     double period = 0.0;
-    std::vector<SnapshotTask> tasks;
-    std::vector<SnapshotMessage> messages;
+    /** Current workload (tasks and messages in id order). */
+    TaskFlowGraph g;
+    /** The node the (fixed) allocation placed each task on. */
+    std::vector<NodeId> placement;
     /** writeSchedule() bytes (v2: includes the fault spec). */
     std::string scheduleText;
 };

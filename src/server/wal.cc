@@ -1,6 +1,5 @@
 #include "server/wal.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -15,153 +14,16 @@ namespace srsim {
 namespace server {
 
 std::string
-encodeWalRecord(const WalRecord &rec)
+encodeWalRecord(std::uint64_t seq, const std::string &line)
 {
     std::ostringstream os;
     JsonWriter w(os);
-    // Replay recompiles from these numbers; byte-exact recovery
-    // needs the exact doubles back (periods and byte counts are
-    // arbitrary, not microsecond-grid values).
-    w.fullPrecision();
     w.beginObject();
-    w.kv("seq", rec.seq);
-    const DaemonOp &op = rec.op;
-    switch (op.kind) {
-      case DaemonOp::Kind::Open: {
-          const SessionConfig &sc = op.open;
-          w.kv("op", "open");
-          w.kv("session", op.session);
-          w.kv("topo", sc.topo);
-          w.kv("tfg", sc.tfg);
-          w.kv("period", sc.period);
-          w.kv("bw", sc.bandwidth);
-          w.kv("ap", sc.apSpeed);
-          w.kv("alloc", sc.alloc);
-          // As a string: the decoder parses JSON numbers as
-          // doubles, which cannot hold every 64-bit seed.
-          w.kv("seed", std::to_string(sc.seed));
-          w.kv("cache", sc.cache);
-          if (!sc.solver.empty())
-              w.kv("solver", sc.solver);
-          if (sc.threads > 0)
-              w.kv("threads",
-                   static_cast<std::uint64_t>(sc.threads));
-          break;
-      }
-      case DaemonOp::Kind::Close:
-          w.kv("op", "close");
-          w.kv("session", op.session);
-          break;
-      case DaemonOp::Kind::Request: {
-          const online::Request &r = op.request;
-          switch (r.kind) {
-            case online::RequestKind::AdmitMessage:
-                w.kv("op", "admit");
-                w.kv("session", op.session);
-                w.key("admits").beginArray();
-                for (const online::AdmitSpec &a : r.admits) {
-                    w.beginObject();
-                    w.kv("name", a.name);
-                    w.kv("src", a.src);
-                    w.kv("dst", a.dst);
-                    w.kv("bytes", a.bytes);
-                    w.endObject();
-                }
-                w.endArray();
-                break;
-            case online::RequestKind::RemoveMessage:
-                w.kv("op", "remove");
-                w.kv("session", op.session);
-                w.kv("name", r.name);
-                break;
-            case online::RequestKind::UpdatePeriod:
-                w.kv("op", "period");
-                w.kv("session", op.session);
-                w.kv("period", r.period);
-                break;
-            case online::RequestKind::InjectFault:
-                w.kv("op", "fault");
-                w.kv("session", op.session);
-                w.kv("spec", r.faultSpec);
-                break;
-          }
-          break;
-      }
-    }
+    w.kv("seq", seq);
+    w.kv("line", line);
     w.endObject();
     return os.str();
 }
-
-namespace {
-
-/** Decode one WAL line; throws std::runtime_error on mismatch. */
-WalRecord
-decodeWalRecord(const std::string &line)
-{
-    const jsonmini::ValuePtr v = jsonmini::parse(line);
-    if (v->kind != jsonmini::Value::Kind::Object)
-        throw std::runtime_error("record is not an object");
-    WalRecord rec;
-    rec.seq = static_cast<std::uint64_t>(v->at("seq").number);
-    const std::string op = v->at("op").string;
-    rec.op.session = v->at("session").string;
-    if (op == "open") {
-        rec.op.kind = DaemonOp::Kind::Open;
-        SessionConfig &sc = rec.op.open;
-        sc.name = rec.op.session;
-        sc.topo = v->at("topo").string;
-        sc.tfg = v->at("tfg").string;
-        sc.period = v->at("period").number;
-        sc.bandwidth = v->at("bw").number;
-        sc.apSpeed = v->at("ap").number;
-        sc.alloc = v->at("alloc").string;
-        sc.seed = std::strtoull(v->at("seed").string.c_str(),
-                                nullptr, 10);
-        sc.cache = v->at("cache").boolean;
-        // Absent on records written before sessions carried solver
-        // and thread overrides: inherit-the-daemon defaults.
-        if (v->has("solver"))
-            sc.solver = v->at("solver").string;
-        if (v->has("threads"))
-            sc.threads = static_cast<std::size_t>(
-                v->at("threads").number);
-    } else if (op == "close") {
-        rec.op.kind = DaemonOp::Kind::Close;
-    } else if (op == "admit") {
-        rec.op.kind = DaemonOp::Kind::Request;
-        rec.op.request.kind = online::RequestKind::AdmitMessage;
-        const jsonmini::Value &arr = v->at("admits");
-        if (arr.kind != jsonmini::Value::Kind::Array)
-            throw std::runtime_error("admits is not an array");
-        for (const jsonmini::ValuePtr &e : arr.array) {
-            online::AdmitSpec a;
-            a.name = e->at("name").string;
-            a.src = e->at("src").string;
-            a.dst = e->at("dst").string;
-            a.bytes = e->at("bytes").number;
-            rec.op.request.admits.push_back(std::move(a));
-        }
-        if (rec.op.request.admits.empty())
-            throw std::runtime_error("empty admit batch");
-    } else if (op == "remove") {
-        rec.op.kind = DaemonOp::Kind::Request;
-        rec.op.request.kind = online::RequestKind::RemoveMessage;
-        rec.op.request.name = v->at("name").string;
-    } else if (op == "period") {
-        rec.op.kind = DaemonOp::Kind::Request;
-        rec.op.request.kind = online::RequestKind::UpdatePeriod;
-        rec.op.request.period = v->at("period").number;
-    } else if (op == "fault") {
-        rec.op.kind = DaemonOp::Kind::Request;
-        rec.op.request.kind = online::RequestKind::InjectFault;
-        rec.op.request.faultSpec = v->at("spec").string;
-    } else {
-        throw std::runtime_error("unknown op '" + op + "'");
-    }
-    return rec;
-}
-
-} // namespace
 
 WalReadResult
 readWal(const std::string &path)
@@ -180,14 +42,32 @@ readWal(const std::string &path)
         ++lineNo;
         if (line.empty())
             continue;
-        WalRecord rec;
+        const std::string where = "line " + std::to_string(lineNo);
+        jsonmini::ValuePtr v;
         try {
-            rec = decodeWalRecord(line);
+            v = jsonmini::parse(line);
         } catch (const std::exception &e) {
+            // Only a crash mid-append leaves an incomplete object.
             out.tornTail = true;
-            out.error = "line " + std::to_string(lineNo) + ": " +
-                        e.what();
+            out.error = where + ": " + e.what();
             break;
+        }
+        // A complete record that is not {"seq","line"} is no torn
+        // write: refuse it rather than truncate the log there.
+        if (v->kind != jsonmini::Value::Kind::Object ||
+            !v->has("seq") || !v->has("line")) {
+            out.error = where + ": not a {\"seq\",\"line\"} record; "
+                        "logs of per-field records (written before "
+                        "records became protocol lines) are not read";
+            return out;
+        }
+        WalRecord rec;
+        rec.seq = static_cast<std::uint64_t>(v->at("seq").number);
+        rec.line = v->at("line").string;
+        std::string err;
+        if (!parseDaemonOp(rec.line, &rec.op, &err)) {
+            out.error = where + ": " + err;
+            return out;
         }
         // The first record's seq is the log's base (a log continued
         // after a snapshot superseded its stale predecessor starts
@@ -196,8 +76,7 @@ readWal(const std::string &path)
             // A sequence break means everything from here on is
             // not the log the synced prefix promised.
             out.tornTail = true;
-            out.error = "line " + std::to_string(lineNo) +
-                        ": sequence break (expected " +
+            out.error = where + ": sequence break (expected " +
                         std::to_string(lastSeq + 1) + ", got " +
                         std::to_string(rec.seq) + ")";
             break;
@@ -235,17 +114,15 @@ WriteAheadLog::open(const std::string &path, std::uint64_t nextSeq,
 }
 
 std::uint64_t
-WriteAheadLog::append(const DaemonOp &op)
+WriteAheadLog::append(const std::string &line)
 {
-    WalRecord rec;
-    rec.seq = nextSeq_++;
-    rec.op = op;
-    pending_ += encodeWalRecord(rec);
+    const std::uint64_t seq = nextSeq_++;
+    pending_ += encodeWalRecord(seq, line);
     pending_ += '\n';
     ++appended_;
     if (SRSIM_METRICS_ENABLED())
         reg().counter("server.wal_records").add(1);
-    return rec.seq;
+    return seq;
 }
 
 bool

@@ -4,8 +4,10 @@
  *
  * Durability contract: every *accepted* state-changing operation
  * (open, close, and each accepted request) is appended as one JSON
- * object per line, in commit order, tagged with a strictly
- * increasing sequence number. Records are buffered in user space
+ * object per line, `{"seq":N,"line":"<text>"}`, in commit order,
+ * with a strictly increasing sequence number. The text is the op's
+ * canonical script text (protocol.hh formatDaemonOp()) and is read
+ * back with the script parser, so the log has no codec of its own. Records are buffered in user space
  * and made durable by sync() — write(2) + fsync(2) through
  * durable::AppendFile — so the daemon can group-commit batches;
  * anything not yet synced is exactly what a crash may lose.
@@ -15,11 +17,13 @@
  * re-applied to the same prior state are accepted again with
  * byte-identical published schedules.
  *
- * The reader is tolerant of a torn tail: a truncated or malformed
- * final line (the classic crash-mid-write artifact) ends the replay
- * cleanly instead of failing recovery. Corruption *before* the tail
- * (a record that parses but breaks sequence monotonicity) is also
- * treated as the start of the tail. The first record fixes the
+ * The reader is tolerant of a torn tail: a line that is not a
+ * complete JSON object (the classic crash-mid-write artifact) ends
+ * the replay cleanly instead of failing recovery, and so does a
+ * record that breaks sequence monotonicity. A complete record that
+ * is not a line record, or whose line does not parse, fails the read
+ * instead: it is no torn write (a log of the older per-field
+ * records is refused, never truncated away). The first record fixes the
  * log's base sequence — it need not be 1: a log that continues
  * after a snapshot superseded its stale predecessor starts past it
  * (recovery then insists on a snapshot that bridges the gap).
@@ -47,16 +51,20 @@ namespace server {
 struct WalRecord
 {
     std::uint64_t seq = 0;
+    /** The op's canonical script text, as logged. */
+    std::string line;
+    /** `line`, parsed. */
     DaemonOp op;
 };
 
 /** Serialize one record as a single JSON line (no newline). */
-std::string encodeWalRecord(const WalRecord &rec);
+std::string encodeWalRecord(std::uint64_t seq, const std::string &line);
 
 /** Outcome of reading a WAL file. */
 struct WalReadResult
 {
-    /** False only on I/O-level failure (missing file is ok=true). */
+    /** False on a complete record that is not a readable line
+        record (a missing file or a torn tail is ok=true). */
     bool ok = false;
     std::vector<WalRecord> records;
     /** True when a torn/corrupt tail was discarded. */
@@ -89,8 +97,9 @@ class WriteAheadLog
 
     bool isOpen() const { return file_.isOpen(); }
 
-    /** Buffer one record; @return its sequence number. */
-    std::uint64_t append(const DaemonOp &op);
+    /** Buffer a record of `line`, an op's loggableText();
+        @return its sequence number. */
+    std::uint64_t append(const std::string &line);
 
     /**
      * Make every buffered record durable (write + fsync).

@@ -259,6 +259,21 @@ Topology::clearFaults()
     linkCap_.clear();
 }
 
+Topology::FaultMask
+Topology::faultMask() const
+{
+    return {linkUp_, nodeUp_, linkCap_, degraded_};
+}
+
+void
+Topology::setFaultMask(FaultMask m)
+{
+    degraded_ = m.degraded;
+    linkUp_ = std::move(m.linkUp);
+    nodeUp_ = std::move(m.nodeUp);
+    linkCap_ = std::move(m.linkCap);
+}
+
 void
 Topology::ensureMask()
 {

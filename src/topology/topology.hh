@@ -158,6 +158,20 @@ class Topology
     /** Restore the healthy fabric (all links/nodes up, capacity 1). */
     void clearFaults();
 
+    /** A saved fault mask (see faultMask() / setFaultMask()). */
+    struct FaultMask
+    {
+        std::vector<char> linkUp, nodeUp;
+        std::vector<double> linkCap;
+        bool degraded = false;
+    };
+
+    /** @return the current fault mask, to put back later. */
+    FaultMask faultMask() const;
+
+    /** Put back a mask saved by faultMask() on this fabric. */
+    void setFaultMask(FaultMask m);
+
     /**
      * @return true if every node and link of p survives the fault
      * mask (p must also be structurally valid).

@@ -351,6 +351,32 @@ TEST(OnlineRejection, StructuredReasons)
  * An infeasible admission is classified, and when a stretched
  * period would fit, the caller learns the period.
  */
+/**
+ * A rejected fault puts the fabric back as it was, faults applied
+ * before the service was built included; clearing the mask and
+ * reapplying only the service's own specs brought them back to life.
+ */
+TEST(OnlineRejection, RejectedFaultKeepsFaultsFromBeforeConstruction)
+{
+    const DvbParams dvb;
+    TaskFlowGraph g = buildDvbTfg(dvb);
+    auto topo = makeTopology("torus:4,4,4");
+    topo->failLink(0);
+    TimingModel tm;
+    tm.apSpeed = dvb.matchedApSpeed();
+    tm.bandwidth = 128.0;
+    const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
+    online::OnlineSchedulerConfig cfg;
+    cfg.compiler.inputPeriod = 120.0;
+    online::OnlineScheduler svc(std::move(g), std::move(topo), alloc,
+                                tm, cfg);
+    ASSERT_TRUE(svc.start().accepted);
+    const RequestResult r = svc.injectFault("link:#99999");
+    EXPECT_FALSE(r.accepted);
+    EXPECT_EQ(r.reason, RejectReason::InvalidRequest);
+    EXPECT_FALSE(svc.topology().linkUp(0));
+}
+
 TEST(OnlineRejection, InfeasibleAdmissionIsClassified)
 {
     const auto svc = golden::makeChurnService();

@@ -48,6 +48,10 @@
 # path and the service's own stretch probe may not be mentioned
 # under src/ at all.
 #
+# Daemon ops have one codec, src/server/protocol.cc (DESIGN.md §12):
+# the retired per-field WAL and snapshot keys and row structs may not
+# come back under src/, nor the v1 snapshot magic under src/server/.
+#
 # Likewise for the retired second benchmark harness: the four bench/
 # perf tools that duplicated perfbench/ and the google-benchmark
 # dependency (its header, and its find_package in any
@@ -140,6 +144,19 @@ grep -rn -E "$knobs" src >"$out" 2>/dev/null || true
 if [ -s "$out" ]; then
     echo "check_globals: retired repair or re-solve knobs, or a" \
          "second incremental or stretch path:"
+    sed 's/^/  /' "$out"
+    status=1
+fi
+
+codec="Snapshot""Task|Snapshot""Message|at[(]\"adm""its\"[)]"
+codec="$codec|\"tfg""src|\"open""period|\"cache""sess"
+{
+    grep -rn -E "$codec" src
+    grep -rn "kMagic""V1" src/server
+} >"$out" 2>/dev/null || true
+if [ -s "$out" ]; then
+    echo "check_globals: a second codec for daemon ops (see" \
+         "src/server/protocol.hh):"
     sed 's/^/  /' "$out"
     status=1
 fi
